@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.witness import named_rlock
 from repro.errors import WeavingError
@@ -209,14 +209,17 @@ class Weaver:
 
     # -- dispatch ---------------------------------------------------------------
 
-    def _collect(self, jp: JoinPoint) -> Dict[AdviceKind, List[Advice]]:
-        """Advice matching ``jp``, grouped by kind, in precedence order.
+    def _collect(self, jp: JoinPoint) -> Optional["_Grouped"]:
+        """Advice matching ``jp``, grouped by kind, in precedence order
+        (None when no advice matches).
 
         Matching against *static* pointcuts depends only on the join
         point's (kind, class, member) signature, so those results are
-        memoized per signature (invalidated on deploy/undeploy).  Advice
-        guarded by a cflow-containing pointcut is re-evaluated on every
-        dispatch — its match depends on the live call stack.
+        memoized per signature (invalidated on deploy/undeploy) — for a
+        signature with no cflow-guarded advice, the grouped lists
+        themselves.  Advice guarded by a cflow-containing pointcut is
+        re-evaluated on every dispatch — its match depends on the live
+        call stack.
         """
         key = (jp.kind, jp.class_name, jp.member_name)
         with self._memo_lock:
@@ -226,38 +229,34 @@ class Weaver:
             memo = self._match_memo.get(key)
             if memo is None:
                 self.pointcut_memo_misses += 1
-                static_matched: Dict[AdviceKind, List[tuple]] = {
-                    kind: [] for kind in AdviceKind
-                }
-                dynamic: List[tuple] = []
-                seq = 0
-                for _, aspect in self.precedence.ordered():
-                    for advice in aspect.advices:
-                        if _pointcut_is_dynamic(advice.pointcut):
-                            dynamic.append((seq, advice))
-                        elif advice.matches(jp):
-                            static_matched[advice.kind].append((seq, advice))
-                        seq += 1
-                memo = (static_matched, dynamic)
-                self._match_memo[key] = memo
+                memo = self._match_memo[key] = self._match_static(jp)
             else:
                 self.pointcut_memo_hits += 1
-            static_matched, dynamic = memo
+        static_matched, dynamic, grouped = memo
         if not dynamic:
-            return {
-                kind: [advice for _, advice in entries]
-                for kind, entries in static_matched.items()
-            }
-        grouped: Dict[AdviceKind, List[Advice]] = {}
-        dynamic_matched: Dict[AdviceKind, List[tuple]] = {}
+            return grouped
+        matched = list(static_matched)
         for seq, advice in dynamic:
             if advice.matches(jp):
-                dynamic_matched.setdefault(advice.kind, []).append((seq, advice))
-        for kind in AdviceKind:
-            entries = static_matched[kind] + dynamic_matched.get(kind, [])
-            entries.sort(key=lambda pair: pair[0])
-            grouped[kind] = [advice for _, advice in entries]
-        return grouped
+                matched.append((seq, advice))
+        matched.sort(key=lambda pair: pair[0])
+        return _Grouped.of(advice for _, advice in matched)
+
+    def _match_static(self, jp: JoinPoint) -> tuple:
+        """(static matches as (seq, advice), dynamic advice as (seq,
+        advice), grouped static matches or None) for ``jp``'s signature."""
+        static_matched: List[tuple] = []
+        dynamic: List[tuple] = []
+        seq = 0
+        for _, aspect in self.precedence.ordered():
+            for advice in aspect.advices:
+                if _pointcut_is_dynamic(advice.pointcut):
+                    dynamic.append((seq, advice))
+                elif advice.matches(jp):
+                    static_matched.append((seq, advice))
+                seq += 1
+        grouped = _Grouped.of(advice for _, advice in static_matched)
+        return static_matched, dynamic, grouped
 
     def dispatch(self, jp: JoinPoint, terminal: Callable[[], object]):
         """Run the advice chain for ``jp`` around ``terminal``.
@@ -269,43 +268,62 @@ class Weaver:
         frames = _current_frames()
         frames.append(jp)
         try:
-            return self._dispatch_inner(jp, terminal)
+            grouped = self._collect(jp)
+            if grouped is None:
+                return terminal()
+            return _run_advice(grouped, jp, terminal)
         finally:
             frames.pop()
 
-    def _dispatch_inner(self, jp: JoinPoint, terminal: Callable[[], object]):
-        grouped = self._collect(jp)
-        if not any(grouped.values()):
-            return terminal()
 
-        call = terminal
-        for advice in reversed(grouped[AdviceKind.AROUND]):
-            call = _bind_around(advice, jp, call)
+class _Grouped(NamedTuple):
+    """Matched advice of one join point, by kind, in precedence order."""
 
-        for advice in grouped[AdviceKind.BEFORE]:
+    before: Tuple[Advice, ...]
+    around: Tuple[Advice, ...]
+    after_returning: Tuple[Advice, ...]
+    after_throwing: Tuple[Advice, ...]
+    after: Tuple[Advice, ...]
+
+    @classmethod
+    def of(cls, advices) -> Optional["_Grouped"]:
+        """Group ``advices`` (precedence order) by kind; None if empty."""
+        by_kind: Dict[AdviceKind, List[Advice]] = {kind: [] for kind in AdviceKind}
+        for advice in advices:
+            by_kind[advice.kind].append(advice)
+        if not any(by_kind.values()):
+            return None
+        return cls(
+            tuple(by_kind[AdviceKind.BEFORE]),
+            tuple(by_kind[AdviceKind.AROUND]),
+            tuple(by_kind[AdviceKind.AFTER_RETURNING]),
+            tuple(by_kind[AdviceKind.AFTER_THROWING]),
+            tuple(by_kind[AdviceKind.AFTER]),
+        )
+
+
+def _run_advice(grouped: _Grouped, jp: JoinPoint, terminal: Callable[[], object]):
+    call = terminal
+    for advice in reversed(grouped.around):
+        call = functools.partial(advice.body, Invocation(jp, call))
+
+    for advice in grouped.before:
+        advice.body(jp)
+    try:
+        result = call()
+    except BaseException as exc:
+        jp.exception = exc
+        for advice in reversed(grouped.after_throwing):
             advice.body(jp)
-        try:
-            result = call()
-        except BaseException as exc:
-            jp.exception = exc
-            for advice in reversed(grouped[AdviceKind.AFTER_THROWING]):
-                advice.body(jp)
-            for advice in reversed(grouped[AdviceKind.AFTER]):
-                advice.body(jp)
-            raise
-        jp.result = result
-        for advice in reversed(grouped[AdviceKind.AFTER_RETURNING]):
+        for advice in reversed(grouped.after):
             advice.body(jp)
-        for advice in reversed(grouped[AdviceKind.AFTER]):
-            advice.body(jp)
-        return result
-
-
-def _bind_around(advice: Advice, jp: JoinPoint, next_call: Callable[[], object]):
-    def step():
-        return advice.body(Invocation(jp, next_call))
-
-    return step
+        raise
+    jp.result = result
+    for advice in reversed(grouped.after_returning):
+        advice.body(jp)
+    for advice in reversed(grouped.after):
+        advice.body(jp)
+    return result
 
 
 class _Missing:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.witness import named_condition
+from repro.analysis.witness import named_condition, named_rlock
 from repro.errors import MiddlewareError
 
 
@@ -26,9 +26,13 @@ class SimClock:
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)  # guarded_by: _cond
-        self._cond = named_condition("clock.sim")
-        # kept as an alias: advance() has always serialized on one mutex
-        self._lock = self._cond
+        #: threads blocked in wait_until; advancing notifies only when
+        #: there are some, so the per-hop advance stays a bare mutex
+        self._waiters = 0  # guarded_by: _cond
+        # advance() has always serialized on one mutex; the condition
+        # waits on that same mutex
+        self._lock = named_rlock("clock.sim")
+        self._cond = named_condition("clock.sim", lock=self._lock)
 
     def now(self) -> float:
         return self._now
@@ -37,9 +41,10 @@ class SimClock:
         """Move time forward; negative deltas are rejected."""
         if delta_ms < 0:
             raise MiddlewareError(f"clock cannot go backwards ({delta_ms} ms)")
-        with self._cond:
+        with self._lock:
             self._now += delta_ms
-            self._cond.notify_all()
+            if self._waiters:
+                self._cond.notify_all()
             return self._now
 
     def advance_to(self, target_ms: float) -> float:
@@ -50,10 +55,11 @@ class SimClock:
         transport accounts hop latency) may only ever race time
         forward, never backwards.
         """
-        with self._cond:
+        with self._lock:
             if target_ms > self._now:
                 self._now = float(target_ms)
-                self._cond.notify_all()
+                if self._waiters:
+                    self._cond.notify_all()
             return self._now
 
     def wait_until(
@@ -67,9 +73,13 @@ class SimClock:
         relies on another thread driving the clock.
         """
         with self._cond:
-            return self._cond.wait_for(
-                lambda: self._now >= deadline_ms, timeout=timeout_s
-            )
+            self._waiters += 1
+            try:
+                return self._cond.wait_for(
+                    lambda: self._now >= deadline_ms, timeout=timeout_s
+                )
+            finally:
+                self._waiters -= 1
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<SimClock t={self._now:.3f}ms>"

@@ -26,7 +26,6 @@ capture, marshalling, and interceptors behave identically):
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import threading
 from typing import Any, Callable, Dict, List, Optional, Union
@@ -89,24 +88,23 @@ class Orb:
     # -- call context -----------------------------------------------------------
 
     @property
-    def _context_stack(self) -> List[Dict[str, Any]]:
+    def context_frames(self) -> List[Dict[str, Any]]:
+        """This thread's implicit-context frames, innermost last (a
+        per-hop dispatch path pushes and pops one inline instead of
+        entering :meth:`call_context`)."""
         stack = getattr(self._ctx_local, "frames", None)
         if stack is None:
             stack = self._ctx_local.frames = []
         return stack
 
-    @contextlib.contextmanager
-    def call_context(self, **entries):
-        """Attach implicit per-call context (credentials, transaction id...)."""
-        self._context_stack.append(entries)
-        try:
-            yield
-        finally:
-            self._context_stack.pop()
+    def call_context(self, **entries) -> "_ContextFrame":
+        """Attach implicit per-call context (credentials, transaction id...)
+        for the duration of a ``with`` block."""
+        return _ContextFrame(self.context_frames, entries)
 
     def current_context(self) -> Dict[str, Any]:
         merged: Dict[str, Any] = {}
-        for frame in self._context_stack:
+        for frame in self.context_frames:
             merged.update(frame)
         return merged
 
@@ -194,8 +192,12 @@ class Orb:
         kwargs = {k: self._from_wire(v) for k, v in request.kwargs.items()}
         context = dict(request.context)
         context["__dispatching__"] = True  # lets aspects detect server side
-        with self.call_context(**context):
+        frames = self.context_frames
+        frames.append(context)
+        try:
             result = method(*args, **kwargs)
+        finally:
+            frames.pop()
         return marshal(result, self.ref_of, root="result")
 
     def _from_wire(self, value):
@@ -209,6 +211,22 @@ class Orb:
         if isinstance(value, dict):
             return {key: self._from_wire(item) for key, item in value.items()}
         return value
+
+
+class _ContextFrame:
+    """One pushed frame of an orb's implicit call context (``with`` block)."""
+
+    __slots__ = ("_frames", "_entries")
+
+    def __init__(self, frames: List[Dict[str, Any]], entries: Dict[str, Any]):
+        self._frames = frames
+        self._entries = entries
+
+    def __enter__(self) -> None:
+        self._frames.append(self._entries)
+
+    def __exit__(self, *exc_info) -> None:
+        self._frames.pop()
 
 
 class RemoteProxy:

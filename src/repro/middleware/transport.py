@@ -34,7 +34,6 @@ node — that is the whole failover path: fault → promote → re-deliver.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from collections import deque
 from typing import Any, Callable, Dict, Optional
@@ -56,15 +55,17 @@ Handler = Callable[[Envelope], Any]
 _serving_local = threading.local()
 
 
-@contextlib.contextmanager
-def serving_request():
-    """Mark this thread as serving a request for the duration."""
-    previous = getattr(_serving_local, "serving", False)
-    _serving_local.serving = True
-    try:
-        yield
-    finally:
-        _serving_local.serving = previous
+class serving_request:
+    """Mark this thread as serving a request for a ``with`` block."""
+
+    __slots__ = ("_previous",)
+
+    def __enter__(self) -> None:
+        self._previous = getattr(_serving_local, "serving", False)
+        _serving_local.serving = True
+
+    def __exit__(self, *exc_info) -> None:
+        _serving_local.serving = self._previous
 
 
 def in_serving_thread() -> bool:

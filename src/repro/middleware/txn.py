@@ -14,7 +14,6 @@ the behaviour the semantic-coupling experiment (E9) depends on.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import itertools
 import threading
@@ -199,20 +198,10 @@ class TransactionManager:
 
     # -- conveniences --------------------------------------------------------------
 
-    @contextlib.contextmanager
-    def transaction(self):
+    def transaction(self) -> "TransactionScope":
         """``with manager.transaction() as tx:`` — commit on success,
         rollback (and re-raise) on exception."""
-        tx = self.begin()
-        try:
-            yield tx
-        except TransactionAborted:
-            raise
-        except BaseException as exc:
-            self.rollback(tx, reason=f"{type(exc).__name__}: {exc}")
-            raise
-        else:
-            self.commit(tx)
+        return TransactionScope(self)
 
     def enlist_object(self, obj: Any, tx: Optional[Transaction] = None) -> None:
         """Write-lock ``obj`` and snapshot it for rollback (idempotent per tx)."""
@@ -223,3 +212,31 @@ class TransactionManager:
         resource = ObjectSnapshotResource(obj)
         tx._enlisted_objects[id(obj)] = resource
         tx.enlist(resource)
+
+
+class TransactionScope:
+    """The ``with`` block of :meth:`TransactionManager.transaction`.
+
+    Entering begins (or joins) a transaction.  A clean exit commits it;
+    an exception rolls it back and propagates — except
+    :class:`~repro.errors.TransactionAborted`, which already rolled back.
+    """
+
+    __slots__ = ("_manager", "_tx")
+
+    def __init__(self, manager: TransactionManager):
+        self._manager = manager
+        self._tx: Optional[Transaction] = None
+
+    def __enter__(self) -> Transaction:
+        self._tx = self._manager.begin()
+        return self._tx
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is None:
+            self._manager.commit(self._tx)
+        elif not issubclass(exc_type, TransactionAborted):
+            self._manager.rollback(
+                self._tx, reason=f"{exc_type.__name__}: {exc}"
+            )
+        return False

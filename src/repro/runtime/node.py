@@ -24,7 +24,7 @@ from repro.core.lifecycle import MdaLifecycle
 from repro.core.runtime import MiddlewareServices
 from repro.errors import NamingError
 from repro.middleware.bus import ObjectRefData
-from repro.middleware.envelope import delivering
+from repro.middleware.envelope import delivery_frames
 from repro.runtime.dispatch import ConcurrentDispatcher, SerialDispatcher
 
 _module_counter = itertools.count(1)
@@ -151,11 +151,20 @@ class Node:
         orb = self.services.orb
 
         def run():
-            with delivering(context):
-                if context:
-                    with orb.call_context(**context):
-                        return orb.invoke(ref, operation, args, kwargs)
-                return orb.invoke(ref, operation, args, kwargs)
+            # the frames are pushed inline (this runs once per hop)
+            deliveries = delivery_frames()
+            deliveries.append(dict(context or {}))
+            try:
+                if not context:
+                    return orb.invoke(ref, operation, args, kwargs)
+                frames = orb.context_frames
+                frames.append(dict(context))
+                try:
+                    return orb.invoke(ref, operation, args, kwargs)
+                finally:
+                    frames.pop()
+            finally:
+                deliveries.pop()
 
         return run
 

@@ -1,7 +1,7 @@
 """Distributed tracing woven into the interceptor chains.
 
 A :class:`TraceContext` rides the envelope's propagated request context
-(under the ``"trace"`` key) through ``delivering()``, exactly like
+(under the ``"trace"`` key) through ``delivery_frames()``, exactly like
 credentials do, so every hop — sync, queued, nested servant-to-servant,
 bus-level dispatch — can parent its span correctly without any side
 channel.

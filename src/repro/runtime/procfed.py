@@ -375,6 +375,8 @@ class ProcessFederation:
         self.real_latency_s = spec.real_latency_ms / 1000.0
         self._route_lock = named_lock("federation.route")
         self.routed: Dict[str, int] = {}  # guarded_by: _route_lock
+        #: write-through syncs that could not reach the owner worker
+        self.sync_failures = 0  # guarded_by: _route_lock
         self._topology_lock = named_rlock("federation.topology")
         #: binding name -> servant type (read-only classification key)
         self._bindings: Dict[str, str] = {}
@@ -674,7 +676,9 @@ class ProcessFederation:
     def _sync_partition(self, partition: str, owner: Optional[str] = None) -> None:
         """Write-through: snapshot the partition out of its owner worker
         into the front-end's standby map.  Best-effort — it runs after
-        the triggering call's effect and must never fail that call."""
+        the triggering call's effect and must never fail that call — but
+        a failed sync is counted (``stats()["sync_failures"]``) and
+        emitted as a ``sync_failure`` event: the standby copy is stale."""
         names = self._partitions.get(partition)
         if not names:
             return
@@ -683,7 +687,15 @@ class ProcessFederation:
             reply = self.transport.control(
                 owner, {"verb": "snapshot", "names": list(names)}
             )
-        except (ReproError, OSError):
+        except (ReproError, OSError) as exc:
+            with self._route_lock:
+                self.sync_failures += 1
+            self.observability.emit(
+                "sync_failure",
+                partition=partition,
+                owner=owner,
+                error=f"{type(exc).__name__}: {exc}",
+            )
             return
         states = reply.get("states", {})
         if states:
@@ -902,6 +914,7 @@ class ProcessFederation:
             "workers": sorted(self.workers),
             "routed": dict(self.routed),
             "failovers": self.failovers,
+            "sync_failures": self.sync_failures,
             "transport": self.transport.stats(),
         }
 

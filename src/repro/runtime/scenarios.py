@@ -1245,8 +1245,7 @@ class MedicalRecordsScenario(Scenario):
                     f"successful updates {expected}"
                 )
         denials = sum(
-            len(node.services.audit.denials())
-            for node in federation.nodes.values()
+            node.services.audit.denied for node in federation.nodes.values()
         )
         attempts = int(state["tally"].number("nurse_update_attempts"))
         if state["config"].faults:

@@ -146,6 +146,21 @@ class TestProcessFailover:
             assert excinfo.value.pre_effect
 
 
+    def test_failed_write_through_sync_is_counted(self):
+        """A write-through sync that cannot reach its owner worker must
+        not fail the call that triggered it, but it is not swallowed
+        either: the federation counts it and emits an event."""
+        with ProcessFederation(banking_spec()) as fed:
+            owner = fed.naming.owner_of("branch-0")
+            assert fed.stats()["sync_failures"] == 0
+            fed.kill(owner)
+            fed._sync_partition("branch-0", owner)
+            assert fed.stats()["sync_failures"] == 1
+            event = fed.observability.events.last("sync_failure")
+            assert event["partition"] == "branch-0"
+            assert event["owner"] == owner
+
+
 class TestNodeServeCli:
     def test_serve_announces_and_stops_over_the_wire(self):
         """The bare CLI surface: spawn, scan the announcement, ping,
