@@ -1,27 +1,27 @@
 """E17 — log-shipping replication: write throughput vs partition size.
 
 The claim under test: **delta replication decouples write cost from
-partition size**.  Full-partition write-through re-copies every servant
-in the partition after each mutating call — O(partition) per write — so
-throughput collapses as partitions grow.  Per-servant dirty tracking
-plus the append-only replication log make the per-write replication
-work O(touched servants): one state snapshot appended to the partition
-log and replayed onto the standby.
+partition size**.  Re-copying every servant in the partition after each
+mutating call is O(partition) per write, so throughput collapses as
+partitions grow.  Per-servant dirty tracking plus the append-only
+replication log make the per-write replication work O(touched
+servants): one state snapshot appended to the partition log and
+replayed onto the standby.
 
-Three variants are measured at each partition size (64 → 4096 servants,
+Two variants are measured at each partition size (64 → 4096 servants,
 one standby):
 
-* ``full_sync``  — write-through with dirty narrowing disabled (the
-  pre-log behavior: every write re-copies the whole partition);
-* ``write_through`` — write-through narrowed to the touched servants;
-* ``log``       — the replication log: narrowed appends + replay, with
-  snapshot+truncate every 64 entries.
+* ``full_sync`` — the O(partition) reference: an unreplicated
+  federation, and after each write this bench snapshots every servant
+  in the partition (under its dispatch lock) onto a standby copy;
+* ``log``       — the federation's replication: narrowed appends +
+  replay, with snapshot+truncate every 64 entries.
 
 The CI bar is **log >= 3x full_sync at 1024 servants**.  Replica lag
 (applied-watermark deficit) and failover recovery time with log-replay
 promotion are reported alongside.  Every run asserts effect
 conservation on the *standby* copies: each successful deposit must be
-visible in the replicated state, so a mode that loses writes cannot
+visible in the replicated state, so a variant that loses writes cannot
 pass.
 
 Run standalone:  python benchmarks/bench_replication.py
@@ -42,7 +42,7 @@ SIZES = (64, 256, 1024, 4096)
 #: the CI floor: log-shipping throughput over full-partition sync at 1024
 FLOOR_SPEEDUP = 3.0
 FLOOR_AT_SIZE = 1024
-#: ops per log/narrowed window (cheap writes: fixed count)
+#: ops per log window (cheap writes: fixed count)
 OPS_FAST = 1_500
 #: full-sync ops shrink with partition size so the O(size^2) total
 #: copy work stays bounded; throughput is a rate, so windows need not
@@ -71,7 +71,7 @@ class Account:
 MODULE = type("BenchReplicationModule", (), {"Account": Account})
 
 
-def build_federation(size, mode, narrowing=True):
+def build_federation(size, replicated=True):
     federation = Federation(seed=1, latency_ms=0.0)
     for i in range(2):
         federation.add_node(f"node-{i}").module = MODULE
@@ -81,11 +81,40 @@ def build_federation(size, mode, narrowing=True):
         name = f"{PARTITION}/Account/{i}"
         owner.bind(name, Account())
         names.append(name)
-    # enabled after the binds: seeding syncs once per partition instead
-    # of once per bind
-    federation.enable_replication(1, mode=mode, snapshot_every=64)
-    federation.replicas.dirty_narrowing = narrowing
+    if replicated:
+        # enabled after the binds: seeding syncs once per partition
+        # instead of once per bind
+        federation.enable_replication(1, snapshot_every=64)
     return federation, names
+
+
+class FullSync:
+    """The O(partition) reference: after each write, snapshot every
+    servant of the partition under its dispatch lock and overwrite a
+    standby copy of it — the whole partition, whatever the write
+    touched."""
+
+    def __init__(self, federation):
+        self.federation = federation
+        self.copies = {}
+
+    def sync(self):
+        federation = self.federation
+        owner_name, names = federation.naming.partition_view(PARTITION)
+        owner = federation.nodes[owner_name]
+        for name in names:
+            ref, servant = federation._servant_on(owner, name)
+            state = owner.dispatcher.serialize(
+                ref.object_id, lambda s=servant: dict(s.__dict__)
+            )
+            copy = self.copies.get(name)
+            if copy is None:
+                copy = self.copies[name] = Account.__new__(Account)
+            copy.__dict__.clear()
+            copy.__dict__.update(state)
+
+    def total(self, names):
+        return sum(self.copies[name].balance for name in names)
 
 
 def standby_total(federation, names):
@@ -99,25 +128,40 @@ def standby_total(federation, names):
     return total
 
 
-def write_window(federation, names, ops, seed):
+def write_window(federation, names, ops, seed, after_write=None):
     """Closed-loop deposits against one replicated partition."""
     rng = random.Random(seed)
     start = time.perf_counter()
     for _ in range(ops):
         federation.call(rng.choice(names), "deposit", 1.0)
+        if after_write is not None:
+            after_write()
     return ops / (time.perf_counter() - start)
 
 
-def bench_variant(size, mode, narrowing, ops):
-    federation, names = build_federation(size, mode, narrowing)
+def measure_full_sync(size, ops):
+    federation, names = build_federation(size, replicated=False)
+    reference = FullSync(federation)
+    reference.sync()
+    ops_s = write_window(federation, names, ops, seed=size, after_write=reference.sync)
+    replicated = reference.total(names)
+    assert replicated == float(ops), (
+        f"full_sync lost writes: standby holds {replicated}, "
+        f"expected {float(ops)}"
+    )
+    federation.shutdown()
+    return {"ops": ops, "ops_s": round(ops_s)}
+
+
+def measure_log(size, ops):
+    federation, names = build_federation(size)
     ops_s = write_window(federation, names, ops, seed=size)
     stats = federation.replicas.stats()
     # effect conservation ON THE STANDBY: every deposit must have been
     # replicated — a variant that drops writes cannot report a speedup
     replicated = standby_total(federation, names)
     assert replicated == float(ops), (
-        f"{mode} (narrowing={narrowing}) lost writes: standby holds "
-        f"{replicated}, expected {float(ops)}"
+        f"log lost writes: standby holds {replicated}, expected {float(ops)}"
     )
     federation.shutdown()
     return {
@@ -137,9 +181,8 @@ def bench_sizes():
         ops_full = max(60, OPS_FULL_BUDGET // size)
         row = {
             "partition_size": size,
-            "full_sync": bench_variant(size, "full", False, ops_full),
-            "write_through": bench_variant(size, "full", True, OPS_FAST),
-            "log": bench_variant(size, "log", True, OPS_FAST),
+            "full_sync": measure_full_sync(size, ops_full),
+            "log": measure_log(size, OPS_FAST),
         }
         row["speedup_log_vs_full"] = round(
             row["log"]["ops_s"] / row["full_sync"]["ops_s"], 2
@@ -147,7 +190,6 @@ def bench_sizes():
         results.append(row)
         print(
             f"size {size:5d}: full_sync {row['full_sync']['ops_s']:>7} ops/s, "
-            f"write_through {row['write_through']['ops_s']:>7} ops/s, "
             f"log {row['log']['ops_s']:>7} ops/s "
             f"({row['speedup_log_vs_full']:.1f}x vs full)"
         )
@@ -156,7 +198,7 @@ def bench_sizes():
 
 def bench_failover(size=FLOOR_AT_SIZE):
     """Kill the primary after a log-shipped tail; time the promotion."""
-    federation, names = build_federation(size, "log")
+    federation, names = build_federation(size)
     write_window(federation, names, 500, seed=99)
     victim = federation.naming.owner_of(PARTITION)
     last = federation.call(names[0], "deposit", 1.0)

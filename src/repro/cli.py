@@ -252,7 +252,6 @@ def _cmd_simulate(args) -> int:
         delivery_workers=args.delivery_workers,
         transport=args.transport,
         churn=args.churn,
-        replication_mode=args.replication_mode,
         trace=args.trace or bool(args.trace_out),
         open_loop=open_loop,
     )
@@ -639,15 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
         "connection to the owner node's listener (full marshalling, "
         "framing, and fault conversion — the same interceptor chain "
         "runs unmodified)",
-    )
-    simulate.add_argument(
-        "--replication-mode",
-        choices=("full", "log"),
-        default=None,
-        dest="replication_mode",
-        help="override the scenario's replication machinery: 'full' "
-        "write-through standby copies or 'log' append-only op-log "
-        "shipping with snapshot/truncate (replicated scenarios only)",
     )
     simulate.add_argument(
         "--trace",

@@ -21,7 +21,7 @@ split:
    joins later) host the byte-identical artifact.  Then materialize
    servants from their :class:`~repro.deploy.spec.ServantSpec` state,
    provision users, register read-only operation classifications
-   (mutation tracking for write-through narrowing), declare per-binding
+   (mutation tracking for replication narrowing), declare per-binding
    QoS defaults, arm the fault campaign, and enable replication.
 
 ``extract_spec`` is the inverse projection: a live federation back into
@@ -198,8 +198,7 @@ class DeploymentCompiler:
             plan.add(
                 "replication",
                 f"enable {spec.replication.count} standby(s) per partition, "
-                f"{spec.replication.mode} mode "
-                f"(snapshot every {spec.replication.snapshot_every})",
+                f"log (snapshot every {spec.replication.snapshot_every})",
             )
         obs = spec.observability
         plan.add(
@@ -275,7 +274,6 @@ class DeploymentCompiler:
             if spec.replication.count > 0:
                 federation.enable_replication(
                     spec.replication.count,
-                    mode=spec.replication.mode,
                     snapshot_every=spec.replication.snapshot_every,
                 )
             federation.observability.configure(spec.observability)
@@ -407,7 +405,6 @@ def extract_spec(federation, include_state: bool = False) -> DeploymentSpec:
         replication=(
             ReplicationSpec(
                 count=federation.replicas.count,
-                mode=federation.replicas.mode,
                 snapshot_every=federation.replicas.snapshot_every,
             )
             if federation.replicas

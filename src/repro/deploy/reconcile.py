@@ -127,7 +127,6 @@ class MigrationPlan:
         elif action.kind == "set_replication":
             federation.set_replication(
                 payload["count"],
-                mode=payload.get("mode"),
                 snapshot_every=payload.get("snapshot_every"),
             )
         elif action.kind == "set_binding_qos":
@@ -254,16 +253,6 @@ class DeploymentDiff:
                     f"({current.replication.count} -> "
                     f"{target.replication.count}); standby state would be "
                     "dropped under traffic"
-                )
-            if (
-                current.replication.count > 0
-                and current.replication.mode != target.replication.mode
-            ):
-                raise DeploymentError(
-                    "replication mode cannot be changed live "
-                    f"({current.replication.mode!r} -> "
-                    f"{target.replication.mode!r}); standby state would "
-                    "have to be rebuilt under traffic — redeploy instead"
                 )
             diff.replication_change = (
                 current.replication.count,
@@ -407,7 +396,6 @@ class DeploymentDiff:
                 "set_replication",
                 detail,
                 count=after,
-                mode=target.mode,
                 snapshot_every=target.snapshot_every,
             )
         if self.qos_changed:

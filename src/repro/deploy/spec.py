@@ -13,8 +13,8 @@ refined application runs*:
 * the application — :class:`ApplicationSpec`: a PIM source (builder name
   or XMI path) plus the ordered :class:`ConcernSpec` selections lowered
   through the configuration pipeline;
-* policies — :class:`ReplicationSpec` (standby count, write-through vs
-  log-shipping mode, snapshot threshold),
+* policies — :class:`ReplicationSpec` (standby count, log snapshot
+  threshold),
   :class:`FaultCampaignSpec` (site probabilities), named
   :class:`QoSProfile` s with per-binding defaults, and provisioned
   :class:`UserSpec` s.
@@ -122,7 +122,7 @@ class ServantSpec:
     (``<partition>/<Type>/<index>``); ``state`` is the constructor
     keyword dict (JSON-shaped — it travels in spec files and shard
     manifests); ``read_only_ops`` classifies operations whose dispatch
-    mutates no servant state, which lets write-through replication skip
+    mutates no servant state, which lets replication skip
     the sync for routed calls that touched nothing mutable; ``qos``
     names a :class:`QoSProfile` used as this binding's default policy.
     """
@@ -195,31 +195,29 @@ class PartitionSpec:
 class ReplicationSpec:
     """Standby copies per partition (0 = replication disabled).
 
-    ``mode`` selects the replication machinery: ``"full"`` write-through
-    (every mutating call overwrites the standby copies in place) or
-    ``"log"`` log shipping (per-servant deltas appended to a sequenced
-    partition log that standbys replay).  ``snapshot_every`` is the
-    log-mode truncation threshold: after that many retained entries the
-    tail is folded into a base snapshot.  Old spec files without these
-    keys parse as write-through.
+    Standbys replay a sequenced per-partition op log;
+    ``snapshot_every`` is its truncation threshold: after that many
+    retained entries the tail is folded into a base snapshot.
+
+    ``mode`` selects nothing.  It is still accepted, so spec files
+    written when ``"full"`` (write-through) and ``"log"`` were
+    alternatives keep parsing; both values mean the log, any other
+    value fails :meth:`DeploymentSpec.validate`.  It is neither
+    serialized nor compared, so it moves no digest and no diff.
     """
 
     count: int = 0
-    mode: str = "full"
+    mode: str = field(default="log", compare=False)
     snapshot_every: int = 64
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "mode": self.mode,
-            "snapshot_every": self.snapshot_every,
-        }
+        return {"count": self.count, "snapshot_every": self.snapshot_every}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ReplicationSpec":
         return cls(
             count=data.get("count", 0),
-            mode=data.get("mode", "full"),
+            mode=data.get("mode", "log"),
             snapshot_every=data.get("snapshot_every", 64),
         )
 
@@ -750,8 +748,7 @@ class DeploymentSpec:
             f"({servant_count} servant(s))",
             f"  replication: {self.replication.count} standby(s)/partition"
             + (
-                f", {self.replication.mode} mode"
-                f" (snapshot every {self.replication.snapshot_every})"
+                f", log (snapshot every {self.replication.snapshot_every})"
                 if self.replication.count
                 else ""
             ),

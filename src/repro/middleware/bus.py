@@ -277,7 +277,7 @@ class MessageBus:
         #: declared by the deployment spec (``ServantSpec.read_only_ops``).
         #: Deliveries whose operation is NOT in its type's set bump
         #: :attr:`mutations` — the per-call mutation flag the federation's
-        #: write-through replication consults to skip syncing partitions
+        #: replication consults to skip syncing partitions
         #: a routed call never mutated.  Unknown types default to
         #: "everything mutates" (the safe direction).
         self.read_only_ops: Dict[str, frozenset] = {}
@@ -341,7 +341,7 @@ class MessageBus:
 
         *Replace* semantics, not merge: reconciling onto a spec that
         reclassifies an operation as mutating must actually remove it
-        from the set, or write-through replication would keep skipping
+        from the set, or replication would keep skipping
         its syncs.
         """
         with self._stats_lock:

@@ -34,10 +34,11 @@ Elastic membership (live topology changes):
   joining node), and the :class:`ShardedNamingService` performs an atomic
   ownership-epoch swap, so routing never observes a half-migrated shard.
 * :class:`ReplicaManager` keeps, per partition key, a primary plus N
-  standby servant copies on the ring-successor nodes (write-through after
-  every successful routed call).  :meth:`Federation.kill` models a
-  fail-stop crash (in-flight requests finish, then the node goes dark);
-  the ``failover`` interceptor element reacts to the resulting
+  standby servant copies on the ring-successor nodes (each successful
+  mutating routed call appends to the partition's op log, which the
+  standbys replay before the call returns).  :meth:`Federation.kill`
+  models a fail-stop crash (in-flight requests finish, then the node
+  goes dark); the ``failover`` interceptor element reacts to the resulting
   :class:`~repro.errors.NodeDownError` by promoting the standbys of the
   dead node's partitions, and the transport's QoS retry budget re-delivers
   the pre-effect call — re-resolving ``envelope.binding`` — onto the new
@@ -477,20 +478,29 @@ class _MigrationGate:
 class ReplicaGroup:
     """One partition's replication view: primary + standby servant copies."""
 
-    __slots__ = ("partition", "primary", "standbys", "watermarks")
+    __slots__ = ("partition", "primary", "standbys", "watermarks", "log")
 
-    def __init__(self, partition: str, primary: str, standby_names: List[str]):
+    def __init__(
+        self,
+        partition: str,
+        primary: str,
+        standby_names: List[str],
+        log: "ReplicationLog",
+    ):
         self.partition = partition
         self.primary = primary
         #: standby node name -> {binding name -> servant copy}
         self.standbys: Dict[str, Dict[str, Any]] = {
             name: {} for name in standby_names
         }
-        #: standby node name -> applied log sequence (log mode): the
+        #: standby node name -> applied log sequence: the
         #: watermark up to which that standby's copies have replayed the
         #: partition's :class:`ReplicationLog`; replica lag is the
         #: distance between the log head and the smallest watermark
         self.watermarks: Dict[str, int] = {name: 0 for name in standby_names}
+        #: the partition's op log — outlives the group: a re-placed
+        #: group inherits it and its fresh watermarks reseed from it
+        self.log = log
 
 
 class ReplicationLog:
@@ -557,18 +567,15 @@ class ReplicaManager:
     never torn by a concurrent mutation; shallow — scenario servant
     state is primitive by construction).
 
-    Two replication modes, both driven by **per-servant dirty
+    Replication is log shipping driven by **per-servant dirty
     tracking**: the bus records which servants each delivery mutated
-    (:meth:`MessageBus.touched_since`), so a sync refreshes only the
-    touched servants instead of re-copying the whole partition.
-
-    * ``"full"`` — write-through: touched copies are refreshed in place
-      on every mutating routed call (the PR-4 behavior, narrowed).
-    * ``"log"`` — log shipping: touched states are appended to the
-      partition's :class:`ReplicationLog` and standbys *replay* the
-      tail past their applied watermark; the log is snapshot+truncated
-      every ``snapshot_every`` entries, and seeding/catch-up/failover
-      promotion all ride the same replay path.
+    (:meth:`MessageBus.touched_since`), so a sync appends only the
+    touched servants' states to the partition's :class:`ReplicationLog`
+    and the standbys *replay* the tail past their applied watermark.
+    Standbys catch up before the tail is folded (every
+    ``snapshot_every`` entries), so a current standby never reseeds and
+    a write costs one copy per standby.  Seeding, catch-up and failover
+    promotion all ride the same replay path.
 
     Cross-servant coherence comes from the sync discipline itself:
     every mutating call replicates its effects before it releases the
@@ -576,36 +583,22 @@ class ReplicaManager:
     pushed its final state.
     """
 
-    MODES = ("full", "log")
-
     def __init__(
         self,
         federation: "Federation",
         count: int = 1,
-        mode: str = "full",
         snapshot_every: int = 64,
     ):
         if count < 1:
             raise FederationError(f"replication needs >= 1 standby, got {count}")
-        if mode not in self.MODES:
-            raise FederationError(
-                f"unknown replication mode {mode!r}; expected one of {self.MODES}"
-            )
         if snapshot_every < 1:
             raise FederationError(
                 f"snapshot_every must be >= 1, got {snapshot_every}"
             )
         self.federation = federation
         self.count = count
-        self.mode = mode
         self.snapshot_every = snapshot_every
-        #: set False to disable per-servant dirty narrowing and fall back
-        #: to full-partition syncs on every mutating call (the pre-log
-        #: behavior benchmarks baseline against)
-        self.dirty_narrowing = True
         self._groups: Dict[str, ReplicaGroup] = {}  # guarded_by: _lock
-        #: per-partition append-only op log (log mode only)
-        self._logs: Dict[str, ReplicationLog] = {}  # guarded_by: _lock
         #: per-partition reverse index object_id -> binding name, rebuilt
         #: on every full sync; lets a narrowed sync map the bus's touched
         #: object ids to bindings without an O(partition) name listing
@@ -616,7 +609,7 @@ class ReplicaManager:
         #: skipped because the routed call touched no mutable servant
         self.syncs = 0
         self.skipped_syncs = 0
-        #: log-mode counters: entries appended, snapshot+truncate cycles,
+        #: log counters: entries appended, snapshot+truncate cycles,
         #: and the largest watermark deficit ever observed at catch-up
         self.log_appends = 0
         self.snapshots = 0
@@ -633,7 +626,7 @@ class ReplicaManager:
 
         ``touched`` is the set of servant object ids the triggering call
         mutated (from :meth:`MessageBus.touched_since`); when given, only
-        those servants are refreshed/logged — per-servant dirty tracking.
+        those servants are logged — per-servant dirty tracking.
         ``None`` means "unknown": seed, rebuild, and evicted-window calls
         pay the full-partition path, which also rebuilds the reverse
         index the narrowed path needs.
@@ -645,7 +638,7 @@ class ReplicaManager:
         change performs re-syncs the partition moments later.
         """
         federation = self.federation
-        if touched is not None and self.dirty_narrowing:
+        if touched is not None:
             with self._lock:
                 if self._sync_narrow(partition, touched):
                     return
@@ -673,7 +666,7 @@ class ReplicaManager:
                 pairs.append((name, ref, servant))
             self._index[partition] = index
             self._index_epoch[partition] = federation.naming.epoch
-            if self._replicate(partition, group, owner, pairs, full=True):
+            if self._replicate(group, owner, pairs, full=True):
                 self.syncs += 1
 
     def _sync_narrow(self, partition: str, touched) -> bool:
@@ -710,7 +703,7 @@ class ReplicaManager:
             # concurrent foreign mutation landed in our window, or the
             # index is stale; the full path resolves both safely
             return False
-        if self._replicate(partition, group, owner, pairs, full=False):
+        if self._replicate(group, owner, pairs, full=False):
             self.syncs += 1
         return True
 
@@ -723,16 +716,14 @@ class ReplicaManager:
             or group.primary != owner_name
             or list(group.standbys) != standby_names
         ):
-            group = ReplicaGroup(partition, owner_name, standby_names)
+            group = ReplicaGroup(
+                partition,
+                owner_name,
+                standby_names,
+                group.log if group is not None else ReplicationLog(partition),
+            )
             self._groups[partition] = group
         return group
-
-    def _replicate(self, partition, group, owner, pairs, full) -> int:
-        """Push ``pairs`` [(name, ref, servant)] to the standbys; returns
-        the number of copies actually refreshed."""
-        if self.mode == "log":
-            return self._replicate_log(partition, group, owner, pairs, full)
-        return self._copy_through(group, owner, pairs)
 
     def _snapshot_states(self, owner, pairs):
         """[(name, type name, state)] snapshot under each servant's
@@ -745,28 +736,12 @@ class ReplicaManager:
             snapshots.append((name, type(servant).__name__, state))
         return snapshots
 
-    def _copy_through(self, group, owner, pairs) -> int:
-        """Full mode: overwrite each standby's copies in place."""
+    def _replicate(self, group, owner, pairs, full) -> int:
+        """Append ``pairs`` [(name, ref, servant)] to the partition log,
+        replay it onto the standbys, then fold the tail if it is due;
+        returns the number of copies actually refreshed."""
         federation = self.federation
-        snapshots = self._snapshot_states(owner, pairs)
-        refreshed = 0
-        for standby_name in group.standbys:
-            standby = federation.nodes.get(standby_name)
-            if standby is None or standby.module is None:
-                continue
-            copies = group.standbys[standby_name]
-            for name, type_name, state in snapshots:
-                refreshed += self._apply_state(
-                    standby.module, copies, name, type_name, state
-                )
-        return refreshed
-
-    def _replicate_log(self, partition, group, owner, pairs, full) -> int:
-        """Log mode: append per-servant deltas, then replay to standbys."""
-        federation = self.federation
-        log = self._logs.get(partition)
-        if log is None:
-            log = self._logs[partition] = ReplicationLog(partition)
+        log = group.log
         for name, type_name, state in self._snapshot_states(owner, pairs):
             log.append(name, type_name, state)
             self.log_appends += 1
@@ -774,19 +749,22 @@ class ReplicaManager:
             # a full append re-states every live binding, so base
             # entries for since-unbound names can be dropped
             log.prune({name for name, _ref, _servant in pairs})
-        if len(log.entries) >= self.snapshot_every:
-            log.snapshot()
-            self.snapshots += 1
         refreshed = 0
         for standby_name in group.standbys:
             standby = federation.nodes.get(standby_name)
             if standby is None or standby.module is None:
                 continue
-            refreshed += self._catch_up(group, log, standby_name, standby)
+            refreshed += self._catch_up(group, standby_name, standby)
+        # fold only after the catch-up: a standby that was current stays
+        # at base_seq and never has to reseed from the snapshot
+        if len(log.entries) >= self.snapshot_every:
+            log.snapshot()
+            self.snapshots += 1
         return refreshed
 
-    def _catch_up(self, group, log, standby_name, standby) -> int:
+    def _catch_up(self, group, standby_name, standby) -> int:
         """Replay the log tail past ``standby_name``'s watermark."""
+        log = group.log
         applied = group.watermarks.get(standby_name, 0)
         lag = log.seq - applied
         if lag > self.max_replica_lag:
@@ -803,9 +781,8 @@ class ReplicaManager:
                     standby.module, copies, name, type_name, state
                 )
             applied = log.base_seq
-        for seq, name, type_name, state in log.entries:
-            if seq <= applied:
-                continue
+        # seqs are contiguous above base_seq: the unapplied tail is a slice
+        for _seq, name, type_name, state in log.entries[applied - log.base_seq:]:
             refreshed += self._apply_state(
                 standby.module, copies, name, type_name, state
             )
@@ -833,25 +810,23 @@ class ReplicaManager:
     def take(self, partition: str, node_name: str) -> Dict[str, Any]:
         """The standby copies ``node_name`` holds for ``partition``.
 
-        In log mode the standby is caught up to the log head first, so
-        failover promotion rides the log: the promoted copies replay any
+        The standby is caught up to the log head first, so failover
+        promotion rides the log: the promoted copies replay any
         shipped-but-unapplied tail before they are handed out.
         """
         with self._lock:
             group = self._groups.get(partition)
             if group is None:
                 return {}
-            log = self._logs.get(partition)
-            if log is not None and node_name in group.standbys:
+            if node_name in group.standbys:
                 standby = self.federation.nodes.get(node_name)
                 if standby is not None and standby.module is not None:
-                    self._catch_up(group, log, node_name, standby)
+                    self._catch_up(group, node_name, standby)
             return dict(group.standbys.get(node_name, {}))
 
     def drop(self, partition: str) -> None:
         with self._lock:
             self._groups.pop(partition, None)
-            self._logs.pop(partition, None)
             self._index.pop(partition, None)
             self._index_epoch.pop(partition, None)
 
@@ -864,8 +839,6 @@ class ReplicaManager:
         with self._lock:
             for stale in set(self._groups) - partitions:
                 del self._groups[stale]
-            for stale in set(self._logs) - partitions:
-                del self._logs[stale]
             for stale in set(self._index) - partitions:
                 self._index.pop(stale, None)
                 self._index_epoch.pop(stale, None)
@@ -876,12 +849,9 @@ class ReplicaManager:
         """Largest current watermark deficit across all standbys."""
         with self._lock:
             lag = 0
-            for partition, group in self._groups.items():
-                log = self._logs.get(partition)
-                if log is None:
-                    continue
+            for group in self._groups.values():
                 for standby_name in group.standbys:
-                    behind = log.seq - group.watermarks.get(standby_name, 0)
+                    behind = group.log.seq - group.watermarks[standby_name]
                     if behind > lag:
                         lag = behind
             return lag
@@ -891,7 +861,6 @@ class ReplicaManager:
         with self._lock:
             return {
                 "standbys_per_partition": self.count,
-                "mode": self.mode,
                 "partitions": len(self._groups),
                 "copies": sum(
                     len(copies)
@@ -998,7 +967,7 @@ class Federation:
         self._fault_sites: List[Tuple[str, float, dict]] = []
         #: read-only operation sets per servant type, replayed onto
         #: joining nodes; feeds the buses' per-call mutation flags that
-        #: let write-through replication skip read-only routed calls
+        #: let replication skip read-only routed calls
         self.read_only_ops: Dict[str, frozenset] = {}
         #: (binding pattern, QoS) defaults declared by a deployment
         #: spec; consulted (in declaration order) for calls issued
@@ -1092,41 +1061,30 @@ class Federation:
     def enable_replication(
         self,
         count: int = 1,
-        mode: str = "full",
         snapshot_every: int = 64,
     ) -> ReplicaManager:
-        """Give every partition ``count`` standby copies (failover state).
-
-        ``mode`` selects write-through (``"full"``) or log-shipping
-        (``"log"``) replication; ``snapshot_every`` is the log-mode
-        snapshot+truncate threshold (entries retained before the tail is
-        folded into the base snapshot).
+        """Give every partition ``count`` standby copies (failover state),
+        kept current by shipping the partition's op log;
+        ``snapshot_every`` is the snapshot+truncate threshold (entries
+        retained before the tail is folded into the base snapshot).
         """
         with self._topology_lock:
             if self.replicas is None:
                 self.replicas = ReplicaManager(
-                    self, count, mode=mode, snapshot_every=snapshot_every
+                    self, count, snapshot_every=snapshot_every
                 )
-                self.observability.emit(
-                    "replication_enabled", count=count, mode=mode
-                )
+                self.observability.emit("replication_enabled", count=count)
                 self.replicas.rebuild()
             elif self.replicas.count != count:
                 raise FederationError(
                     f"replication already enabled with "
                     f"{self.replicas.count} standby(s)"
                 )
-            elif self.replicas.mode != mode:
-                raise FederationError(
-                    f"replication already enabled in "
-                    f"{self.replicas.mode!r} mode"
-                )
             return self.replicas
 
     def set_replication(
         self,
         count: int,
-        mode: Optional[str] = None,
         snapshot_every: Optional[int] = None,
     ) -> ReplicaManager:
         """Enable replication or *change* the standby count on a live
@@ -1134,23 +1092,14 @@ class Federation:
         replica count mid-run).  Re-places every group and resyncs, so
         the new standbys hold current state before the call returns.
         ``snapshot_every`` retunes the log truncation threshold in
-        place; the mode itself cannot change live (the reconciler
-        refuses such diffs) — passing one only selects the mode when
-        replication is first enabled."""
+        place."""
         with self._topology_lock:
             if self.replicas is None:
                 return self.enable_replication(
                     count,
-                    mode=mode if mode is not None else "full",
                     snapshot_every=(
                         snapshot_every if snapshot_every is not None else 64
                     ),
-                )
-            if mode is not None and mode != self.replicas.mode:
-                raise FederationError(
-                    f"replication mode cannot change live "
-                    f"({self.replicas.mode!r} -> {mode!r}); standby state "
-                    "would have to be rebuilt under traffic"
                 )
             if count < 1:
                 raise FederationError(
@@ -1174,8 +1123,8 @@ class Federation:
         """Set the read-only classification of servant type
         ``type_name`` federation-wide (remembered, so joining nodes are
         classified identically).  Routed calls whose whole dispatch
-        touched only read-only operations skip the write-through
-        replication sync — the dispatch-layer mutation tracking the
+        touched only read-only operations skip the replication
+        sync — the dispatch-layer mutation tracking the
         narrowing relies on lives in each node's bus.  Replace
         semantics: a reconcile that narrows a type's set (reclassifies
         an op as mutating) takes full effect."""
@@ -1482,7 +1431,7 @@ class Federation:
                 )
             # requests admitted before the node died may still be
             # executing (kill's own drain can be racing on another
-            # thread): their effects — and write-through syncs — must
+            # thread): their effects — and replication syncs — must
             # land before the standby copies are taken, or the promoted
             # state silently loses them
             self._await_node_idle(name, 30.0)
@@ -1668,7 +1617,7 @@ class Federation:
         :meth:`kill`'s drain cannot miss a request that slipped past the
         check — a dead node never executes another servant effect, and
         kill returns only after every admitted request (including its
-        write-through replication) finished."""
+        replication sync) finished."""
         with self._flight_lock:
             if not node.alive:
                 raise NodeDownError(
@@ -1884,8 +1833,8 @@ class Federation:
         the handler enters the migration gate and resolves the owner on
         *every* delivery attempt — so queued envelopes and QoS retries
         land on the current primary even if the shard migrated or failed
-        over since submission — and, on success, write-through
-        replicates the partition's servant state to its standbys.  The
+        over since submission — and, on success, replicates
+        the touched servants' state to the partition's standbys.  The
         handler also sets the envelope's target and label, so a
         synchronous caller routing by name passes no ``node``/``ref``
         and the call costs one ring lookup per attempt.  Asynchronous

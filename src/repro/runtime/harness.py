@@ -94,17 +94,14 @@ class RunConfig:
     transport: str = "inproc"
     #: arm the scenario's churn plan (node kill / join / retire mid-run)
     churn: bool = False
-    #: override the scenario's replication machinery ("full" | "log");
-    #: None keeps the scenario's declared mode
-    replication_mode: Optional[str] = None
     #: digest of the DeploymentSpec this run builds from (set by the
-    #: runner for spec-declared scenarios; None on the legacy path) —
-    #: scenario digests include it, so topology drift changes the digest
+    #: runner) — scenario digests include it, so topology drift changes
+    #: the digest
     spec_digest: Optional[str] = None
-    #: the deployment's replication policy (count/mode/snapshot_every;
-    #: set by the runner for spec-declared scenarios) — surfaced by
-    #: ``simulate --describe`` so replication-path drift is visible
-    #: before a run, and folded into the spec digest above
+    #: the deployment's replication policy (count/snapshot_every; set
+    #: by the runner) — surfaced by ``simulate --describe`` so
+    #: replication-path drift is visible before a run, and folded into
+    #: the spec digest above
     replication: Optional[Dict[str, Any]] = None
     #: enable distributed tracing for this run.  A *run-level* toggle on
     #: purpose: the deployment spec (and therefore ``spec_digest``) is
@@ -112,8 +109,8 @@ class RunConfig:
     #: move a scenario digest
     trace: bool = False
     #: the deployment's observability knobs (sample rate, slow-call
-    #: threshold, ring capacities; set by the runner for spec-declared
-    #: scenarios) — surfaced by ``simulate --describe``
+    #: threshold, ring capacities; set by the runner) — surfaced by
+    #: ``simulate --describe``
     observability: Optional[Dict[str, Any]] = None
     #: open-loop driving: None = closed-loop clients; a dict (possibly
     #: empty) switches the run to the virtual-time open-loop driver and
@@ -220,7 +217,6 @@ class ScenarioResult:
         if not stats:
             return None
         return {
-            "mode": stats.get("mode"),
             "syncs": stats.get("syncs"),
             "skipped_syncs": stats.get("skipped_syncs"),
             "log_appends": stats.get("log_appends"),
@@ -292,8 +288,7 @@ class ScenarioResult:
         replication = self.replication_summary()
         if replication:
             lines.append(
-                f"  replication: {replication['mode']} mode, "
-                f"{replication['syncs']} sync(s), "
+                f"  replication: log, {replication['syncs']} sync(s), "
                 f"{replication['skipped_syncs']} skipped, "
                 f"{replication['log_appends']} append(s), "
                 f"{replication['snapshots']} snapshot(s), "
@@ -350,60 +345,29 @@ class ScenarioRunner:
                 f"scenario {self.spec.name!r} is open-loop only (its oracle "
                 "judges a load report) — run it with --open-loop"
             )
-        #: the declarative deployment of this run (None = legacy scenario)
+        #: the declarative deployment of this run
         self.deployment = self.spec.deployment_spec(config)
-        if self.deployment is not None:
-            config.spec_digest = self.deployment.digest()
-            config.replication = self.deployment.replication.to_dict()
-            config.observability = self.deployment.observability.to_dict()
+        config.spec_digest = self.deployment.digest()
+        config.replication = self.deployment.replication.to_dict()
+        config.observability = self.deployment.observability.to_dict()
 
     # -- construction -----------------------------------------------------------
 
     def build(self) -> Federation:
         """Materialize the run's federation.
 
-        Spec-declared scenarios (all six built-ins) compile their
-        :class:`~repro.deploy.DeploymentSpec` through the
-        :class:`~repro.deploy.DeploymentCompiler` — topology, woven
-        application, servants, users, read-only classification, QoS
-        defaults, fault campaign, and replication all come from the
-        spec.  Scenarios without a layout fall back to the imperative
-        build the harness used before the deployment subsystem existed.
+        The scenario's :class:`~repro.deploy.DeploymentSpec` is compiled
+        through the :class:`~repro.deploy.DeploymentCompiler` — topology,
+        woven application, servants, users, read-only classification,
+        QoS defaults, fault campaign, and replication all come from the
+        spec.
         """
-        config = self.config
-        if self.deployment is not None:
-            from repro.deploy.compiler import DeploymentCompiler
+        from repro.deploy.compiler import DeploymentCompiler
 
-            federation = DeploymentCompiler().deploy(
-                self.deployment, metrics=MetricsRegistry()
-            )
-            if config.trace:
-                federation.observability.enable_tracing()
-            return federation
-        federation = Federation(
-            seed=config.seed,
-            latency_ms=config.sim_latency_ms,
-            real_latency_s=config.real_latency_ms / 1000.0,
-            metrics=MetricsRegistry(),
-            delivery_workers=config.delivery_workers,
-            transport=config.transport,
+        federation = DeploymentCompiler().deploy(
+            self.deployment, metrics=MetricsRegistry()
         )
-        for i in range(config.nodes):
-            federation.add_node(
-                f"node-{i}",
-                workers=config.workers if config.concurrent else 0,
-                seed=config.seed * 31 + i,
-            )
-        self.spec.deploy(federation, config)
-        for user, password, roles in self.spec.users:
-            federation.add_user(user, password, roles=roles)
-        if self.spec.replica_count > 0:
-            federation.enable_replication(
-                self.spec.replica_count,
-                mode=config.replication_mode or self.spec.replication_mode,
-                snapshot_every=self.spec.replication_snapshot_every,
-            )
-        if config.trace:
+        if self.config.trace:
             federation.observability.enable_tracing()
         return federation
 
@@ -422,11 +386,6 @@ class ScenarioRunner:
         federation = self.build()
         try:
             state = self.spec.setup(federation, config)
-            if config.faults and federation.spec is None:
-                # legacy path only: spec-compiled federations had their
-                # campaign armed by the compiler (FaultCampaignSpec.armed)
-                for site, probability in self.spec.fault_campaign:
-                    federation.configure_fault(site, probability)
             self._issued = 0
             self._issued_cond = named_condition("harness.issued")
             #: per-client op counters feeding deterministic trace ids

@@ -124,7 +124,7 @@ class Node:
         if self.federation is not None and self.federation.replicas is not None:
             # seed the standby copies immediately: a partition must be
             # recoverable even if it is killed before any routed call
-            # ever write-through-replicated it
+            # ever replicated it
             self.federation.replicas.sync_partition(
                 self.federation.naming.partition_key(name)
             )

@@ -131,10 +131,7 @@ class Scenario:
     users: List[Tuple[str, str, List[str]]] = []
     #: standby copies per partition (> 0 enables replicated failover)
     replica_count: int = 0
-    #: replication machinery: "full" write-through or "log" shipping
-    #: (append-only partition op log replayed onto the standbys)
-    replication_mode: str = "full"
-    #: log-mode snapshot+truncate threshold (entries retained)
+    #: op-log snapshot+truncate threshold (entries retained)
     replication_snapshot_every: int = 64
     #: default QoS handed to every harness client (None = DEFAULT_QOS);
     #: elastic scenarios set a retry budget so failover re-delivery is
@@ -154,13 +151,11 @@ class Scenario:
     def servant_layout(self, config) -> List[PartitionSpec]:
         """The scenario's entities as partition/servant specs.
 
-        Scenarios that implement this get the declarative deployment
-        path: :meth:`deployment_spec` assembles a full
-        :class:`~repro.deploy.DeploymentSpec` and the harness builds the
-        federation through the
-        :class:`~repro.deploy.DeploymentCompiler` — ``deploy``/``setup``
-        shrink to workload logic.  Legacy scenarios may skip it and keep
-        the imperative :meth:`deploy` path.
+        :meth:`deployment_spec` assembles a full
+        :class:`~repro.deploy.DeploymentSpec` around them and the
+        harness builds the federation through the
+        :class:`~repro.deploy.DeploymentCompiler` — ``setup`` is left
+        with workload logic only.
         """
         raise NotImplementedError
 
@@ -175,12 +170,9 @@ class Scenario:
             ),
         )
 
-    def deployment_spec(self, config) -> Optional[DeploymentSpec]:
-        """The declarative deployment of one run (None = legacy path)."""
-        try:
-            partitions = self.servant_layout(config)
-        except NotImplementedError:
-            return None
+    def deployment_spec(self, config) -> DeploymentSpec:
+        """The declarative deployment of one run."""
+        partitions = self.servant_layout(config)
         qos_profiles: List[QoSProfile] = []
         client_qos = None
         if self.client_qos is not None:
@@ -207,14 +199,8 @@ class Scenario:
             partitions=tuple(partitions),
             # a standby needs a distinct successor node: a topology
             # smaller than replica_count+1 degrades to what it can hold
-            # (the pre-spec runtime behaved the same way — standbys
-            # simply had nowhere to land)
             replication=ReplicationSpec(
                 count=min(self.replica_count, max(config.nodes - 1, 0)),
-                mode=(
-                    getattr(config, "replication_mode", None)
-                    or self.replication_mode
-                ),
                 snapshot_every=self.replication_snapshot_every,
             ),
             faults=FaultCampaignSpec(
@@ -238,12 +224,6 @@ class Scenario:
             # that never select a transport keep their historic digests
             transport=getattr(config, "transport", "inproc"),
         )
-
-    def deploy(self, federation, config) -> None:
-        """Refine + weave the application on every node (legacy path —
-        spec-declared scenarios are deployed by the compiler instead)."""
-        for node in federation.nodes.values():
-            node.deploy(self.build_pim(), self.concerns())
 
     @staticmethod
     def _spec_servants(federation) -> Tuple[Dict[str, Any], List[str]]:
@@ -420,7 +400,7 @@ class BankingScenario(Scenario):
 
     def servant_layout(self, config):
         """One Bank + N Accounts per branch partition; ``getBalance`` is
-        the read-only op (its routed calls skip the write-through sync)."""
+        the read-only op (its routed calls skip the replication sync)."""
         partitions = []
         n_branches = max(1, config.nodes * config.entities_per_node)
         for b in range(n_branches):
@@ -822,13 +802,11 @@ class ElasticBankingScenario(BankingScenario):
     #: transport noise on top (retried under the same client QoS budget)
     fault_campaign = [("federation.route", 0.01)]
     users = [("alice", "pw", ["teller"])]
-    #: one standby per partition — enough to survive one crash at a time
+    #: one standby per partition — enough to survive one crash at a time;
+    #: the churn/kill oracles below (money conserved, exactly-once
+    #: touch) therefore exercise log replay, truncation, and log-riding
+    #: failover promotion on every run
     replica_count = 1
-    #: ship per-servant deltas through the partition op log instead of
-    #: write-through copies — the churn/kill oracles below (money
-    #: conserved, exactly-once touch) therefore exercise log replay,
-    #: truncation, and log-riding failover promotion on every run
-    replication_mode = "log"
     replication_snapshot_every = 32
     #: the retry budget that makes failover transparent for pre-effect
     #: faults; application errors are still never retried

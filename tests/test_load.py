@@ -220,21 +220,24 @@ def test_simclock_racing_advances_are_lossless_and_monotone():
     threads = 8
     per_thread = 2_000
     delta = 0.25
-    observed = []
+    observed = [[] for _ in range(threads)]
 
-    def pump():
+    def pump(mine):
         for _ in range(per_thread):
-            observed.append(clock.advance(delta))
+            mine.append(clock.advance(delta))
 
-    workers = [threading.Thread(target=pump) for _ in range(threads)]
+    workers = [threading.Thread(target=pump, args=(mine,)) for mine in observed]
     for w in workers:
         w.start()
     for w in workers:
         w.join()
     # lossless: no advance is ever dropped by a race
     assert clock.now() == pytest.approx(threads * per_thread * delta)
-    # each thread's own returned timestamps never decrease
-    assert all(b >= a for a, b in zip(observed, observed[1:]) if b and a)
+    # each thread's own returned timestamps never decrease (the order
+    # *across* threads is the scheduler's, not the clock's)
+    for mine in observed:
+        assert len(mine) == per_thread
+        assert all(b >= a for a, b in zip(mine, mine[1:]))
 
 
 def test_simclock_rejects_negative_delta():

@@ -7,6 +7,7 @@ per-servant syncs, snapshot+truncate cycles, concurrent writers,
 membership churn, and failover promotion of a log-shipped tail.
 """
 
+import json
 import random
 import threading
 
@@ -14,6 +15,7 @@ import pytest
 
 from repro.deploy import (
     ApplicationSpec,
+    DeploymentCompiler,
     DeploymentDiff,
     DeploymentSpec,
     NodeSpec,
@@ -21,7 +23,7 @@ from repro.deploy import (
 )
 from repro.errors import DeploymentError, FederationError, NodeDownError
 from repro.middleware.envelope import QoS
-from repro.runtime import Federation, ReplicaManager
+from repro.runtime import Federation, ReplicaManager, RunConfig, get_scenario
 from repro.runtime.federation import ReplicationLog
 
 
@@ -44,7 +46,7 @@ MODULE = type("ReplicationTestModule", (), {"Counter": Counter})
 RETRY = QoS(timeout_ms=30_000.0, retries=2)
 
 
-def build(nodes=3, partitions=6, per_partition=3, mode="log", snapshot_every=8):
+def build(nodes=3, partitions=6, per_partition=3, standbys=1, snapshot_every=8):
     federation = Federation(seed=7, latency_ms=0.0)
     for i in range(nodes):
         federation.add_node(f"node-{i}").module = MODULE
@@ -56,7 +58,7 @@ def build(nodes=3, partitions=6, per_partition=3, mode="log", snapshot_every=8):
             name = f"{partition}/Counter/{j}"
             node.bind(name, Counter(100.0))
             names.append(name)
-    federation.enable_replication(1, mode=mode, snapshot_every=snapshot_every)
+    federation.enable_replication(standbys, snapshot_every=snapshot_every)
     return federation, names
 
 
@@ -124,33 +126,58 @@ class TestReplicationLog:
 # ---------------------------------------------------------------------------
 
 
+def banking_spec_json(replication):
+    """The banking scenario's spec as JSON, with ``replication`` swapped
+    in verbatim (the shape an old or hand-written spec file carries)."""
+    config = RunConfig(
+        scenario="banking", nodes=3, seed=1, workers=0, concurrent=False,
+        sim_latency_ms=0.0, entities_per_node=1,
+    )
+    data = get_scenario("banking").deployment_spec(config).to_dict()
+    data["replication"] = replication
+    return json.dumps(data)
+
+
 class TestReplicationConfig:
     def test_unknown_mode_rejected(self):
-        federation, _ = build()
-        with pytest.raises(FederationError, match="unknown replication mode"):
-            ReplicaManager(federation, count=1, mode="paxos")
-        federation.shutdown()
+        spec = DeploymentSpec.from_json(
+            banking_spec_json({"count": 1, "mode": "paxos"})
+        )
+        with pytest.raises(DeploymentError, match="replication mode"):
+            spec.validate()
+        with pytest.raises(DeploymentError, match="replication mode"):
+            DeploymentCompiler().deploy(spec)
+
+    @pytest.mark.parametrize("mode", ["full", "log"])
+    def test_spec_mode_values_both_deploy_the_log(self, mode):
+        spec = DeploymentSpec.from_json(
+            banking_spec_json({"count": 1, "mode": mode, "snapshot_every": 4})
+        )
+        federation = DeploymentCompiler().deploy(spec)
+        try:
+            replicas = federation.replicas
+            assert replicas.count == 1 and replicas.snapshot_every == 4
+            name = spec.partitions[0].servants[-1].name
+            for _ in range(6):
+                federation.call(name, "deposit", 1.0)
+            partition = federation.naming.partition_key(name)
+            group = replicas._groups[partition]
+            # the writes went through the op log: appended, folded, and
+            # replayed onto the standby up to the head
+            assert group.log.seq > 0 and group.log.truncations > 0
+            assert replicas.replica_lag() == 0
+            assert_standbys_match_primaries(federation, [name])
+        finally:
+            federation.shutdown()
 
     def test_snapshot_threshold_must_be_positive(self):
         federation, _ = build()
         with pytest.raises(FederationError, match="snapshot_every"):
-            ReplicaManager(federation, count=1, mode="log", snapshot_every=0)
-        federation.shutdown()
-
-    def test_enable_with_conflicting_mode_rejected(self):
-        federation, _ = build(mode="log")
-        with pytest.raises(FederationError, match="'log' mode"):
-            federation.enable_replication(1, mode="full")
-        federation.shutdown()
-
-    def test_live_mode_change_refused(self):
-        federation, _ = build(mode="log")
-        with pytest.raises(FederationError, match="mode cannot change live"):
-            federation.set_replication(1, mode="full")
+            ReplicaManager(federation, count=1, snapshot_every=0)
         federation.shutdown()
 
     def test_set_replication_retunes_snapshot_threshold(self):
-        federation, _ = build(mode="log", snapshot_every=8)
+        federation, _ = build(snapshot_every=8)
         federation.set_replication(1, snapshot_every=2)
         assert federation.replicas.snapshot_every == 2
         federation.shutdown()
@@ -158,9 +185,12 @@ class TestReplicationConfig:
     def test_spec_round_trip_and_legacy_default(self):
         spec = ReplicationSpec(count=2, mode="log", snapshot_every=16)
         assert ReplicationSpec.from_dict(spec.to_dict()) == spec
-        # pre-log spec files carry only the count: parse as write-through
+        # mode selects nothing: it is neither serialized nor compared
+        assert spec.to_dict() == {"count": 2, "snapshot_every": 16}
+        assert ReplicationSpec(count=2, mode="full", snapshot_every=16) == spec
+        # pre-log spec files carry only the count
         legacy = ReplicationSpec.from_dict({"count": 1})
-        assert legacy.mode == "full"
+        assert legacy == ReplicationSpec(count=1)
         assert legacy.snapshot_every == 64
 
 
@@ -174,11 +204,10 @@ class TestReconcileModeChanges:
             replication=replication,
         )
 
-    def test_diff_refuses_live_mode_change(self):
+    def test_diff_ignores_a_mode_only_change(self):
         current = self._spec(ReplicationSpec(count=1, mode="full"))
         target = self._spec(ReplicationSpec(count=1, mode="log"))
-        with pytest.raises(DeploymentError, match="mode cannot be changed"):
-            DeploymentDiff.between(current, target)
+        assert DeploymentDiff.between(current, target).empty
 
     def test_diff_allows_mode_choice_when_first_enabled(self):
         current = self._spec(ReplicationSpec(count=0))
@@ -186,7 +215,8 @@ class TestReconcileModeChanges:
         diff = DeploymentDiff.between(current, target)
         plan = diff.plan()
         (action,) = [a for a in plan.actions if a.kind == "set_replication"]
-        assert action.payload["mode"] == "log"
+        assert "mode" not in action.payload
+        assert action.payload["count"] == 1
         assert action.payload["snapshot_every"] == 4
 
     def test_diff_retunes_snapshot_threshold(self):
@@ -206,7 +236,7 @@ class TestReconcileModeChanges:
 
 class TestStatsAccounting:
     def test_noop_sync_does_not_inflate_syncs(self):
-        federation, _ = build(mode="full")
+        federation, _ = build()
         before = federation.replicas.stats()["syncs"]
         # no such partition: the early return must not count as a sync
         federation.replicas.sync_partition("no-such-partition")
@@ -214,17 +244,16 @@ class TestStatsAccounting:
         federation.shutdown()
 
     def test_mutating_call_counts_one_refreshing_sync(self):
-        federation, names = build(mode="log")
+        federation, names = build()
         before = federation.replicas.stats()["syncs"]
         federation.call(names[0], "bump", 1.0)
         assert federation.replicas.stats()["syncs"] == before + 1
         federation.shutdown()
 
     def test_stats_expose_log_counters(self):
-        federation, names = build(mode="log")
+        federation, names = build()
         federation.call(names[0], "bump", 1.0)
         stats = federation.replicas.stats()
-        assert stats["mode"] == "log"
         assert stats["log_appends"] > 0
         assert stats["replica_lag"] == 0
         assert stats["max_replica_lag"] >= 1
@@ -232,17 +261,8 @@ class TestStatsAccounting:
             assert key in stats
         federation.shutdown()
 
-    def test_full_mode_reports_zero_log_activity(self):
-        federation, names = build(mode="full")
-        federation.call(names[0], "bump", 1.0)
-        stats = federation.replicas.stats()
-        assert stats["mode"] == "full"
-        assert stats["log_appends"] == 0
-        assert stats["snapshots"] == 0
-        federation.shutdown()
-
     def test_lag_is_measurable_for_an_unreachable_standby(self):
-        federation, names = build(mode="log")
+        federation, names = build()
         name = names[0]
         partition = federation.naming.partition_key(name)
         group = federation.replicas._groups[partition]
@@ -272,7 +292,7 @@ class TestStatsAccounting:
 
 class TestReplayEquivalence:
     def test_sequential_writes_replay_identically(self):
-        federation, names = build(mode="log", snapshot_every=8)
+        federation, names = build(snapshot_every=8)
         rng = random.Random(11)
         for _ in range(200):
             federation.call(rng.choice(names), "bump", rng.choice((1.0, 2.5)))
@@ -280,9 +300,8 @@ class TestReplayEquivalence:
         federation.shutdown()
 
     def test_truncation_preserves_equivalence(self):
-        # snapshot_every=1 folds+truncates after every single append —
-        # every standby refresh goes through the reseed-from-base path
-        federation, names = build(mode="log", snapshot_every=1)
+        # snapshot_every=1 folds+truncates after every single append
+        federation, names = build(snapshot_every=1)
         rng = random.Random(13)
         for _ in range(120):
             federation.call(rng.choice(names), "bump", 1.0)
@@ -291,11 +310,13 @@ class TestReplayEquivalence:
         assert_standbys_match_primaries(federation, names)
         federation.shutdown()
 
-    def test_log_and_full_modes_converge_to_identical_state(self):
+    def test_snapshot_thresholds_converge_to_identical_state(self):
+        # never folding, folding every few writes, and folding after
+        # every append are one replay path: same primaries, same standbys
         ops = [(i % 18, float(1 + i % 5)) for i in range(90)]
         finals = []
-        for mode in ("full", "log"):
-            federation, names = build(mode=mode)
+        for snapshot_every in (1_000, 4, 1):
+            federation, names = build(snapshot_every=snapshot_every)
             for index, amount in ops:
                 federation.call(names[index], "bump", amount)
             finals.append(
@@ -303,10 +324,10 @@ class TestReplayEquivalence:
             )
             assert_standbys_match_primaries(federation, names)
             federation.shutdown()
-        assert finals[0] == finals[1]
+        assert finals[0] == finals[1] == finals[2]
 
     def test_join_reseeds_new_standbys_through_the_log(self):
-        federation, names = build(nodes=3, mode="log", snapshot_every=4)
+        federation, names = build(nodes=3, snapshot_every=4)
         rng = random.Random(17)
         for _ in range(60):
             federation.call(rng.choice(names), "bump", 1.0)
@@ -317,7 +338,7 @@ class TestReplayEquivalence:
         federation.shutdown()
 
     def test_kill_after_log_tail_promotes_last_write(self):
-        federation, names = build(mode="log", snapshot_every=4)
+        federation, names = build(snapshot_every=4)
         name = names[0]
         victim = federation.naming.owner_of(name)
         expected = federation.call(name, "bump", 41.0)
@@ -326,6 +347,33 @@ class TestReplayEquivalence:
         # write included — the QoS budget absorbs the dead-node fault
         assert federation.call(name, "read", qos=RETRY) == expected
         assert federation.failovers == 1
+        federation.shutdown()
+
+
+class TestCopiesPerWrite:
+    def test_each_write_copies_once_per_standby_across_folds(self, monkeypatch):
+        # two standbys, a fold every 4 entries: each partition folds
+        # several times, and a standby that was current when its tail
+        # folded must not reseed the whole partition from the snapshot
+        federation, names = build(
+            nodes=3, partitions=2, per_partition=8, standbys=2, snapshot_every=4
+        )
+        copied = []
+        apply_state = ReplicaManager._apply_state
+
+        def counting(module, copies, name, type_name, state):
+            copied.append(name)
+            return apply_state(module, copies, name, type_name, state)
+
+        monkeypatch.setattr(ReplicaManager, "_apply_state", staticmethod(counting))
+        snapshots = federation.replicas.stats()["snapshots"]
+        rng = random.Random(5)
+        writes = 40
+        for _ in range(writes):
+            federation.call(rng.choice(names), "bump", 1.0)
+        assert federation.replicas.stats()["snapshots"] - snapshots >= 8
+        assert len(copied) == 2 * writes
+        assert_standbys_match_primaries(federation, names)
         federation.shutdown()
 
 
@@ -347,9 +395,7 @@ class TestReplayStress:
                 name = f"{partition}/Counter/{j}"
                 node.bind(name, Counter(100.0))
                 names.append(name)
-        federation.enable_replication(
-            1, mode="log", snapshot_every=snapshot_every
-        )
+        federation.enable_replication(1, snapshot_every=snapshot_every)
 
         successes = []
         unexpected = []

@@ -280,7 +280,8 @@ class TestFederation:
             federation.add_node(f"node-{i}")
         spec = get_scenario("banking")
         config = RunConfig(scenario="banking", nodes=nodes)
-        spec.deploy(federation, config)
+        for node in federation.nodes.values():
+            node.deploy(spec.build_pim(), spec.concerns())
         for user, password, roles in spec.users:
             federation.add_user(user, password, roles=roles)
         return federation, spec, config
