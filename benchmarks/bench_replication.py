@@ -102,11 +102,7 @@ class FullSync:
         federation = self.federation
         owner_name, names = federation.naming.partition_view(PARTITION)
         owner = federation.nodes[owner_name]
-        for name in names:
-            ref, servant = federation._servant_on(owner, name)
-            state = owner.dispatcher.serialize(
-                ref.object_id, lambda s=servant: dict(s.__dict__)
-            )
+        for name, _type_name, state, _version in owner.snapshot(names):
             copy = self.copies.get(name)
             if copy is None:
                 copy = self.copies[name] = Account.__new__(Account)

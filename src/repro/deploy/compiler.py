@@ -222,7 +222,6 @@ class DeploymentCompiler:
 
     def deploy(self, spec: DeploymentSpec, metrics=None):
         """Materialize ``spec`` as a live :class:`Federation`."""
-        from repro.core import MdaLifecycle, MiddlewareServices, ship
         from repro.runtime.federation import Federation
 
         bootstrap = self.compile(spec)
@@ -239,89 +238,80 @@ class DeploymentCompiler:
                 federation.add_node(
                     node_spec.name,
                     workers=node_spec.workers,
-                    seed=(
-                        node_spec.seed
-                        if node_spec.seed is not None
-                        else spec.seed * 31 + index
-                    ),
+                    seed=self.node_seed(spec, index),
                 )
-            # the vendor side refines once, through the pipeline — on
-            # the resource the compile phase already resolved; every
-            # node replays the shipped package against its own services
-            vendor = MdaLifecycle(
-                bootstrap.resource,
-                registry=self.registry,
-                services=MiddlewareServices.create(),
-            )
-            if spec.application.concerns:
-                vendor.apply_plan(bootstrap.concern_plan)
-            federation.app_package = ship(vendor)
-            for node in federation.nodes.values():
-                self.deploy_node(federation, node)
-            for type_name, ops in sorted(spec.read_only_by_type().items()):
-                if ops:
-                    federation.mark_read_only(type_name, ops)
-            for partition in spec.partitions:
-                owner = federation.node_for(partition.key)
-                for servant_spec in partition.servants:
-                    self._bind_servant(owner, servant_spec)
-            for user in spec.users:
-                federation.add_user(user.name, user.password, roles=user.roles)
-            for pattern, profile in self._binding_qos(spec):
-                federation.set_binding_qos(pattern, profile.to_qos())
-            for site in spec.faults.effective_sites():
-                federation.configure_fault(site.site, site.probability)
-            if spec.replication.count > 0:
-                federation.enable_replication(
-                    spec.replication.count,
-                    snapshot_every=spec.replication.snapshot_every,
-                )
-            federation.observability.configure(spec.observability)
-            federation.spec = spec
-            federation.bootstrap_plan = bootstrap
+            self.populate(federation, bootstrap)
             return federation
         except BaseException:
             federation.shutdown()
             raise
 
     @staticmethod
+    def node_seed(spec: DeploymentSpec, index: int) -> int:
+        """The seed of ``spec.nodes[index]`` (derived unless pinned)."""
+        node_spec = spec.nodes[index]
+        if node_spec.seed is not None:
+            return node_spec.seed
+        return spec.seed * 31 + index
+
+    def populate(self, federation, bootstrap: BootstrapPlan) -> None:
+        """Run ``bootstrap`` on a federation whose nodes already exist —
+        in-process nodes or worker processes alike."""
+        from repro.core import MdaLifecycle, MiddlewareServices, ship
+
+        spec = bootstrap.spec
+        # the vendor side refines once, through the pipeline — on the
+        # resource the compile phase already resolved; every node
+        # replays the shipped package against its own services
+        vendor = MdaLifecycle(
+            bootstrap.resource,
+            registry=self.registry,
+            services=MiddlewareServices.create(),
+        )
+        if spec.application.concerns:
+            vendor.apply_plan(bootstrap.concern_plan)
+        federation.app_package = ship(vendor)
+        for node in federation.nodes.values():
+            self.deploy_node(federation, node)
+        for type_name, ops in sorted(spec.read_only_by_type().items()):
+            if ops:
+                federation.mark_read_only(type_name, ops)
+        for partition in spec.partitions:
+            owner = federation.node_for(partition.key)
+            for servant in partition.servants:
+                owner.create(servant.name, servant.type_name, servant.state)
+        for user in spec.users:
+            federation.add_user(user.name, user.password, roles=user.roles)
+        federation.replace_binding_qos(
+            [
+                (pattern, profile.to_qos())
+                for pattern, profile in self._binding_qos(spec)
+            ],
+            client=(
+                spec.profile(spec.client_qos).to_qos()
+                if spec.client_qos is not None
+                else None
+            ),
+        )
+        for site in spec.faults.effective_sites():
+            federation.configure_fault(site.site, site.probability)
+        if spec.replication.count > 0:
+            federation.enable_replication(
+                spec.replication.count,
+                snapshot_every=spec.replication.snapshot_every,
+            )
+        federation.observability.configure(spec.observability)
+        federation.spec = spec
+        federation.bootstrap_plan = bootstrap
+
+    @staticmethod
     def deploy_node(federation, node) -> None:
-        """Replay the federation's shipped application onto one node.
-
-        The package was verified against the vendor model when it was
-        shipped moments earlier in this process, so the per-node replay
-        skips the fingerprint re-check (pure cost at N nodes).
-        """
-        from repro.core import replay
-
+        """Replay the federation's shipped application onto one node."""
         if federation.app_package is None:
             raise DeploymentError(
                 "federation has no shipped application package to replay"
             )
-        lifecycle = replay(
-            federation.app_package, services=node.services, verify=False
-        )
-        module = lifecycle.build_application(
-            f"deploy_{node.name.replace('-', '_')}"
-        )
-        node.host(lifecycle, module)
-
-    @staticmethod
-    def _bind_servant(node, servant_spec: ServantSpec) -> None:
-        cls = getattr(node.module, servant_spec.type_name, None)
-        if cls is None:
-            raise DeploymentError(
-                f"application has no class {servant_spec.type_name!r} "
-                f"(servant {servant_spec.name!r})"
-            )
-        try:
-            servant = cls(**servant_spec.state)
-        except TypeError as exc:
-            raise DeploymentError(
-                f"servant {servant_spec.name!r}: state does not match "
-                f"{servant_spec.type_name!r} constructor: {exc}"
-            ) from exc
-        node.bind(servant_spec.name, servant)
+        node.install(federation.app_package)
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,9 @@ class MigrationPlan:
                 owner = federation.node_for(
                     federation.naming.partition_key(servant_spec.name)
                 )
-                DeploymentCompiler._bind_servant(owner, servant_spec)
+                owner.create(
+                    servant_spec.name, servant_spec.type_name, servant_spec.state
+                )
         elif action.kind == "unbind_servants":
             for name in payload["servants"]:
                 node, ref = federation.resolve(name)
@@ -132,9 +134,17 @@ class MigrationPlan:
         elif action.kind == "set_binding_qos":
             from repro.deploy.spec import QoSProfile
 
+            client = payload.get("client")
             federation.replace_binding_qos(
-                (pattern, QoSProfile.from_dict(profile).to_qos())
-                for pattern, profile in payload["pairs"]
+                (
+                    (pattern, QoSProfile.from_dict(profile).to_qos())
+                    for pattern, profile in payload["pairs"]
+                ),
+                client=(
+                    QoSProfile.from_dict(client).to_qos()
+                    if client is not None
+                    else None
+                ),
             )
         elif action.kind == "configure_fault":
             federation.configure_fault(
@@ -407,10 +417,16 @@ class DeploymentDiff:
                     self.target
                 )
             ]
+            client_qos = self.target.client_qos
             plan.add(
                 "set_binding_qos",
                 f"re-declare per-binding QoS defaults ({len(pairs)} binding(s))",
                 pairs=pairs,
+                client=(
+                    self.target.profile(client_qos).to_dict()
+                    if client_qos is not None
+                    else None
+                ),
             )
         for site, probability in self.fault_changes:
             plan.add(

@@ -18,6 +18,8 @@ class NamingService:
 
     def __init__(self):
         self._bindings: Dict[str, ObjectRefData] = {}
+        #: object id -> the name it was last bound under (reverse index)
+        self._names: Dict[str, str] = {}
 
     @staticmethod
     def _normalize(name: str) -> str:
@@ -34,10 +36,22 @@ class NamingService:
         if key in self._bindings:
             raise NamingError(f"name {key!r} is already bound")
         self._bindings[key] = ref
+        self._names[ref.object_id] = key
 
     def rebind(self, name: str, ref: ObjectRefData) -> None:
         """Bind, replacing any existing binding."""
-        self._bindings[self._normalize(name)] = ref
+        key = self._normalize(name)
+        self._forget(self._bindings.get(key), key)
+        self._bindings[key] = ref
+        self._names[ref.object_id] = key
+
+    def _forget(self, ref, key: str) -> None:
+        if ref is not None and self._names.get(ref.object_id) == key:
+            del self._names[ref.object_id]
+
+    def name_of(self, object_id: str):
+        """The name ``object_id`` is bound under here (None if none)."""
+        return self._names.get(object_id)
 
     def resolve(self, name: str) -> ObjectRefData:
         key = self._normalize(name)
@@ -50,7 +64,7 @@ class NamingService:
         key = self._normalize(name)
         if key not in self._bindings:
             raise NamingError(f"name {key!r} is not bound")
-        del self._bindings[key]
+        self._forget(self._bindings.pop(key), key)
 
     def list(self, prefix: str = "") -> List[str]:
         """All bound names, optionally below a path prefix."""

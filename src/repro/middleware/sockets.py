@@ -269,10 +269,12 @@ class WireServer:
             if envelope.is_oneway:
                 # at-most-once effect, no client-visible error; the ack
                 # follows the effect so a drained caller (the harness's
-                # quiesce) knows every acked oneway has fully landed
+                # quiesce) knows every acked oneway has fully landed, and
+                # carries the handler's reply (a worker's touched states)
+                result = None
                 try:
                     with serving_request():
-                        self.request_handler(envelope)
+                        result = self.request_handler(envelope)
                 except Exception as exc:  # noqa: BLE001 - oneway has no reply path
                     # nowhere to send a FAULT; count and log instead of
                     # discarding the only evidence the effect was lost
@@ -286,7 +288,7 @@ class WireServer:
                     )
                 with self._lock:
                     self.requests_served += 1
-                conn.sendall(session.send_oneway_ack(envelope.correlation_id))
+                conn.sendall(session.send_oneway_ack(envelope.correlation_id, result))
                 return False
             try:
                 with serving_request():
@@ -650,7 +652,7 @@ class SocketTransport(Transport):
         if kind == FAULT:
             raise decode_fault(payload.get("fault", {}))
         if kind == ONEWAY_ACK:
-            return None
+            return Response(envelope.request.message_id, result=payload.get("result"))
         return Response.from_wire(payload["response"])
 
     def control(self, node: str, payload: Dict[str, Any]) -> Dict[str, Any]:

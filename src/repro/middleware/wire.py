@@ -71,7 +71,7 @@ HELLO = 1  #: client greeting: {"version", "node"}
 HELLO_OK = 2  #: server accept: {"version", "node"}
 REQUEST = 3  #: one routed call: Envelope.to_wire()
 RESPONSE = 4  #: its reply: {"correlation_id", "response"}
-ONEWAY_ACK = 5  #: receipt of a oneway envelope: {"correlation_id"}
+ONEWAY_ACK = 5  #: receipt of a oneway envelope: {"correlation_id", "result"?}
 FAULT = 6  #: delivery failed before a Response existed: {"correlation_id", "fault"}
 CONTROL = 7  #: management conversation (deploy, state, shutdown): free-form dict
 CONTROL_OK = 8  #: management reply
@@ -505,8 +505,11 @@ class WireSession:
             {"correlation_id": correlation_id, "response": response.to_wire()},
         )
 
-    def send_oneway_ack(self, correlation_id: int) -> bytes:
-        return encode_frame(ONEWAY_ACK, {"correlation_id": correlation_id})
+    def send_oneway_ack(self, correlation_id: int, result: Any = None) -> bytes:
+        payload = {"correlation_id": correlation_id}
+        if result is not None:
+            payload["result"] = result
+        return encode_frame(ONEWAY_ACK, payload)
 
     def send_fault(self, correlation_id: int, exc: BaseException) -> bytes:
         return encode_frame(

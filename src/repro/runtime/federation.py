@@ -476,23 +476,24 @@ class _MigrationGate:
 
 
 class ReplicaGroup:
-    """One partition's replication view: primary + standby servant copies."""
+    """One partition's replication view: primary, standbys, watermarks."""
 
-    __slots__ = ("partition", "primary", "standbys", "watermarks", "log")
+    __slots__ = (
+        "partition", "primary", "standbys", "watermarks", "log", "epoch", "versions",
+    )
 
     def __init__(
         self,
         partition: str,
         primary: str,
         standby_names: List[str],
-        log: "ReplicationLog",
+        previous: Optional["ReplicaGroup"] = None,
     ):
         self.partition = partition
         self.primary = primary
-        #: standby node name -> {binding name -> servant copy}
-        self.standbys: Dict[str, Dict[str, Any]] = {
-            name: {} for name in standby_names
-        }
+        #: standby node names, in ring order; each node holds its own
+        #: copies (``Node.standbys`` / a worker's, over CONTROL)
+        self.standbys: List[str] = list(standby_names)
         #: standby node name -> applied log sequence: the
         #: watermark up to which that standby's copies have replayed the
         #: partition's :class:`ReplicationLog`; replica lag is the
@@ -500,7 +501,17 @@ class ReplicaGroup:
         self.watermarks: Dict[str, int] = {name: 0 for name in standby_names}
         #: the partition's op log — outlives the group: a re-placed
         #: group inherits it and its fresh watermarks reseed from it
-        self.log = log
+        self.log = previous.log if previous is not None else ReplicationLog(partition)
+        #: naming epoch of the last full sync; a narrowed sync against
+        #: an older epoch takes the full path, which re-places the group
+        self.epoch = -1
+        #: binding name -> newest snapshot version logged (the primary's
+        #: own counter, so shared only by groups of one primary)
+        self.versions: Dict[str, int] = (
+            previous.versions
+            if previous is not None and previous.primary == primary
+            else {}
+        )
 
 
 class ReplicationLog:
@@ -518,12 +529,15 @@ class ReplicationLog:
     """
 
     __slots__ = (
-        "partition", "seq", "base_seq", "base", "entries",
-        "appends", "truncations",
+        "partition", "seq", "base_seq", "base", "entries", "truncations", "lock",
     )
 
     def __init__(self, partition: str):
         self.partition = partition
+        #: held across append, standby catch-up (replay round trips
+        #: included) and fold, so one partition's replays stay in log
+        #: order while other partitions replicate in parallel
+        self.lock = named_rlock("replication.log")
         #: sequence of the newest entry ever appended (monotonic)
         self.seq = 0
         #: every entry with seq <= base_seq has been folded into base
@@ -532,12 +546,10 @@ class ReplicationLog:
         self.base: Dict[str, Tuple[str, Dict[str, Any]]] = {}
         #: untruncated tail: [(seq, name, type name, state)], seq > base_seq
         self.entries: List[Tuple[int, str, str, Dict[str, Any]]] = []
-        self.appends = 0
         self.truncations = 0
 
     def append(self, name: str, type_name: str, state: Dict[str, Any]) -> int:
         self.seq += 1
-        self.appends += 1
         self.entries.append((self.seq, name, type_name, state))
         return self.seq
 
@@ -561,20 +573,18 @@ class ReplicaManager:
 
     Standbys are the partition's ring successors, so when the primary
     leaves the ring the new hash owner *is* the first standby — the node
-    already holding current state.  Copies are instances of the standby
-    node's own woven module classes; each servant's attribute dict is
-    snapshot under that servant's dispatch lock (so a single snapshot is
-    never torn by a concurrent mutation; shallow — scenario servant
-    state is primitive by construction).
+    already holding current state.  Each standby node holds its own
+    copies (instances of its own woven module classes, or a worker
+    process's), so this manager drives every node through the same
+    calls: ``snapshot`` on the owner, ``replay`` and ``promote`` on a
+    standby.  Snapshots are taken under each servant's dispatch lock,
+    so a single snapshot is never torn by a concurrent mutation
+    (shallow — scenario servant state is primitive by construction).
 
     Replication is log shipping driven by **per-servant dirty
-    tracking**: the bus records which servants each delivery mutated
-    (:meth:`MessageBus.touched_since`), so a sync appends only the
-    touched servants' states to the partition's :class:`ReplicationLog`
-    and the standbys *replay* the tail past their applied watermark.
-    Standbys catch up before the tail is folded (every
-    ``snapshot_every`` entries), so a current standby never reseeds and
-    a write costs one copy per standby.  Seeding, catch-up and failover
+    tracking** (:meth:`sync_partition`); the standbys *replay* the log
+    past their applied watermark before its tail is folded, so a write
+    costs one copy per standby.  Seeding, catch-up and failover
     promotion all ride the same replay path.
 
     Cross-servant coherence comes from the sync discipline itself:
@@ -599,11 +609,6 @@ class ReplicaManager:
         self.count = count
         self.snapshot_every = snapshot_every
         self._groups: Dict[str, ReplicaGroup] = {}  # guarded_by: _lock
-        #: per-partition reverse index object_id -> binding name, rebuilt
-        #: on every full sync; lets a narrowed sync map the bus's touched
-        #: object ids to bindings without an O(partition) name listing
-        self._index: Dict[str, Dict[str, str]] = {}  # guarded_by: _lock
-        self._index_epoch: Dict[str, int] = {}  # guarded_by: _lock
         self._lock = named_rlock("replication.manager")
         #: syncs that actually refreshed at least one standby copy /
         #: skipped because the routed call touched no mutable servant
@@ -614,34 +619,45 @@ class ReplicaManager:
         self.log_appends = 0
         self.snapshots = 0
         self.max_replica_lag = 0
+        #: standby replays / owner snapshots that could not be delivered
+        self.replay_failures = 0
+        self.snapshot_failures = 0
 
-    def _standby_names(self, partition: str) -> List[str]:
-        preference = self.federation.naming.ring.preference(
-            partition, self.count + 1
-        )
-        return preference[1:]
-
-    def sync_partition(self, partition: str, touched=None) -> None:
+    def sync_partition(self, partition: str, states=None) -> None:
         """Replicate ``partition``'s state to its standbys.
 
-        ``touched`` is the set of servant object ids the triggering call
-        mutated (from :meth:`MessageBus.touched_since`); when given, only
-        those servants are logged — per-servant dirty tracking.
-        ``None`` means "unknown": seed, rebuild, and evicted-window calls
-        pay the full-partition path, which also rebuilds the reverse
-        index the narrowed path needs.
+        ``states`` are the post-call ``(name, type name, state,
+        version)`` of the servants the triggering call mutated
+        (:meth:`Node.touched_states`, or a worker's reply); when given,
+        only this partition's entries among them are logged —
+        per-servant dirty tracking — and none at all counts as a skipped
+        sync.  ``None`` means "unknown": seed, rebuild, oneway and
+        evicted-window calls pay the full-partition path, which also
+        re-places the group after a topology change.
 
         Best-effort by design: it runs *after* the triggering call's
         servant effect, so it must never fail that call.  A topology
         swap racing the sync (owner read from one snapshot, gone in the
         next) just skips the refresh — the rebuild that every membership
-        change performs re-syncs the partition moments later.
+        change performs re-syncs the partition moments later.  An owner
+        that cannot be snapshot (a dead worker) is counted in
+        ``snapshot_failures``.
         """
         federation = self.federation
-        if touched is not None:
-            with self._lock:
-                if self._sync_narrow(partition, touched):
-                    return
+        if states is not None:
+            mine = [
+                entry for entry in states if entry[0].split("/", 1)[0] == partition
+            ]
+            if not mine:
+                with self._lock:
+                    self.skipped_syncs += 1
+                return
+            # an unlocked read: a group re-placed meanwhile shares the log,
+            # and one placed under an older epoch fails the check below
+            group = self._groups.get(partition)
+            if group is not None and group.epoch == federation.naming.epoch:
+                self._replicate(group, mine, full=False)
+                return
         view = federation.naming.partition_view(partition)
         if view is None:
             return
@@ -650,142 +666,109 @@ class ReplicaManager:
         if owner is None:
             return
         try:
-            standby_names = self._standby_names(partition)
+            # the ring successors: the first one is the next owner
+            standby_names = federation.naming.ring.preference(partition, self.count + 1)[1:]
         except FederationError:
             return
         with self._lock:
-            group = self._ensure_group(partition, owner_name, standby_names)
-            index: Dict[str, str] = {}
-            pairs = []
-            for name in names:
-                found = federation._servant_on(owner, name)
-                if found is None:
-                    continue
-                ref, servant = found
-                index[ref.object_id] = name
-                pairs.append((name, ref, servant))
-            self._index[partition] = index
-            self._index_epoch[partition] = federation.naming.epoch
-            if self._replicate(group, owner, pairs, full=True):
-                self.syncs += 1
+            group = previous = self._groups.get(partition)
+            if group is None or (group.primary, group.standbys) != (owner_name, standby_names):
+                group = ReplicaGroup(partition, owner_name, standby_names, previous)
+                self._groups[partition] = group
+        with group.log.lock:
+            if previous is not None and previous is not group:
+                self._drop_copies(previous, keep=group.standbys)
+            try:
+                snapshots = owner.snapshot(names)
+            except (ReproError, OSError) as exc:
+                with self._lock:
+                    self.snapshot_failures += 1
+                federation.observability.emit(
+                    "snapshot_failure",
+                    partition=partition,
+                    owner=owner_name,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+                return
+            group.epoch = federation.naming.epoch
+            self._replicate(group, snapshots, full=True)
 
-    def _sync_narrow(self, partition: str, touched) -> bool:
-        """Refresh only the ``touched`` servants; False -> full path.
+    def _drop_copies(self, group, keep=()) -> None:
+        """Clear ``group``'s copies on the standbys that left it."""
+        for name in group.standbys:
+            node = self.federation.nodes.get(name)
+            if name not in keep and node is not None:
+                with contextlib.suppress(ReproError, OSError):
+                    node.replay(group.partition, [], reset=True)
 
-        Requires a current group and reverse index (same naming epoch,
-        object ids still resolving to the indexed bindings).  Anything
-        stale falls back to the full sync, which repairs the index.  A
-        touched id belonging to another partition (a concurrent call on
-        the same node bumped the counter inside our window) is simply
-        not in this partition's index and drops out.
-        """
-        federation = self.federation
-        group = self._groups.get(partition)
-        if group is None:
-            return False
-        if self._index_epoch.get(partition) != federation.naming.epoch:
-            return False
-        owner = federation.nodes.get(group.primary)
-        if owner is None:
-            return False
-        index = self._index.get(partition, {})
-        pairs = []
-        for object_id in touched:
-            name = index.get(object_id)
-            if name is None:
-                continue
-            found = federation._servant_on(owner, name)
-            if found is None or found[0].object_id != object_id:
-                return False
-            pairs.append((name, found[0], found[1]))
-        if not pairs:
-            # every touched id is foreign to this partition — either a
-            # concurrent foreign mutation landed in our window, or the
-            # index is stale; the full path resolves both safely
-            return False
-        if self._replicate(group, owner, pairs, full=False):
-            self.syncs += 1
-        return True
-
-    def _ensure_group(
-        self, partition: str, owner_name: str, standby_names: List[str]
-    ) -> ReplicaGroup:
-        group = self._groups.get(partition)
-        if (
-            group is None
-            or group.primary != owner_name
-            or list(group.standbys) != standby_names
-        ):
-            group = ReplicaGroup(
-                partition,
-                owner_name,
-                standby_names,
-                group.log if group is not None else ReplicationLog(partition),
-            )
-            self._groups[partition] = group
-        return group
-
-    def _snapshot_states(self, owner, pairs):
-        """[(name, type name, state)] snapshot under each servant's
-        dispatch lock — a concurrent call on the servant cannot tear it."""
-        snapshots = []
-        for name, ref, servant in pairs:
-            state = owner.dispatcher.serialize(
-                ref.object_id, lambda s=servant: dict(s.__dict__)
-            )
-            snapshots.append((name, type(servant).__name__, state))
-        return snapshots
-
-    def _replicate(self, group, owner, pairs, full) -> int:
-        """Append ``pairs`` [(name, ref, servant)] to the partition log,
-        replay it onto the standbys, then fold the tail if it is due;
-        returns the number of copies actually refreshed."""
-        federation = self.federation
+    def _replicate(self, group, snapshots, full) -> None:
+        """Log each of ``snapshots`` newer than its servant's last entry,
+        replay the log onto the standbys, then fold the tail if due."""
+        nodes = self.federation.nodes
         log = group.log
-        for name, type_name, state in self._snapshot_states(owner, pairs):
-            log.append(name, type_name, state)
-            self.log_appends += 1
-        if full:
-            # a full append re-states every live binding, so base
-            # entries for since-unbound names can be dropped
-            log.prune({name for name, _ref, _servant in pairs})
-        refreshed = 0
-        for standby_name in group.standbys:
-            standby = federation.nodes.get(standby_name)
-            if standby is None or standby.module is None:
-                continue
-            refreshed += self._catch_up(group, standby_name, standby)
-        # fold only after the catch-up: a standby that was current stays
-        # at base_seq and never has to reseed from the snapshot
-        if len(log.entries) >= self.snapshot_every:
-            log.snapshot()
-            self.snapshots += 1
-        return refreshed
+        with log.lock:
+            appended = 0
+            for name, type_name, state, version in snapshots:
+                if version > group.versions.get(name, 0):
+                    group.versions[name] = version
+                    log.append(name, type_name, state)
+                    appended += 1
+            if full:
+                # a full append re-states every live binding, so base
+                # entries for since-unbound names can be dropped
+                log.prune({entry[0] for entry in snapshots})
+            refreshed = 0
+            for standby_name in group.standbys:
+                standby = nodes.get(standby_name)
+                if standby is not None:
+                    refreshed += self._catch_up(group, standby_name, standby)
+            # fold only after the catch-up: a standby that was current
+            # stays at base_seq and never has to reseed from the snapshot
+            folded = len(log.entries) >= self.snapshot_every
+            if folded:
+                log.snapshot()
+        with self._lock:
+            self.log_appends += appended
+            self.snapshots += folded
+            self.syncs += refreshed > 0
 
     def _catch_up(self, group, standby_name, standby) -> int:
-        """Replay the log tail past ``standby_name``'s watermark."""
+        """Replay the log past ``standby_name``'s watermark onto it
+        (the caller holds the log's lock).
+
+        A fresh watermark, or one the fold overtook, reseeds: the node
+        drops its copies and replays the base snapshot plus the tail.
+        """
         log = group.log
-        applied = group.watermarks.get(standby_name, 0)
+        applied = group.watermarks[standby_name]
         lag = log.seq - applied
         if lag > self.max_replica_lag:
-            self.max_replica_lag = lag
+            with self._lock:
+                self.max_replica_lag = max(self.max_replica_lag, lag)
         if lag <= 0:
             return 0
-        copies = group.standbys[standby_name]
-        refreshed = 0
-        if applied < log.base_seq:
-            # truncated past this watermark: reseed from the base
-            # snapshot, then replay the remaining tail
-            for name, (type_name, state) in log.base.items():
-                refreshed += self._apply_state(
-                    standby.module, copies, name, type_name, state
-                )
-            applied = log.base_seq
-        # seqs are contiguous above base_seq: the unapplied tail is a slice
-        for _seq, name, type_name, state in log.entries[applied - log.base_seq:]:
-            refreshed += self._apply_state(
-                standby.module, copies, name, type_name, state
+        base_seq = log.base_seq
+        reset = applied == 0 or applied < base_seq
+        if reset:
+            entries = [
+                (base_seq, name, type_name, state)
+                for name, (type_name, state) in log.base.items()
+            ] + log.entries
+        else:
+            # seqs are contiguous above base_seq: the unapplied tail is a slice
+            entries = log.entries[applied - base_seq:]
+        try:
+            refreshed = standby.replay(group.partition, entries, reset)
+        except (ReproError, OSError) as exc:
+            with self._lock:
+                self.replay_failures += 1
+            self.federation.observability.emit(
+                "replay_failure",
+                partition=group.partition,
+                standby=standby_name,
+                error=f"{type(exc).__name__}: {exc}",
             )
+            return 0
         group.watermarks[standby_name] = log.seq
         return refreshed
 
@@ -802,33 +785,31 @@ class ReplicaManager:
         copy.__dict__.update(state)
         return 1
 
-    def note_skip(self) -> None:
-        """Count one replication sync skipped by mutation narrowing."""
-        with self._lock:
-            self.skipped_syncs += 1
-
     def take(self, partition: str, node_name: str) -> Dict[str, Any]:
-        """The standby copies ``node_name`` holds for ``partition``.
-
-        The standby is caught up to the log head first, so failover
-        promotion rides the log: the promoted copies replay any
-        shipped-but-unapplied tail before they are handed out.
-        """
+        """The standby copies ``node_name`` holds for ``partition``,
+        caught up to the log head first."""
         with self._lock:
             group = self._groups.get(partition)
-            if group is None:
-                return {}
-            if node_name in group.standbys:
-                standby = self.federation.nodes.get(node_name)
-                if standby is not None and standby.module is not None:
-                    self._catch_up(group, node_name, standby)
-            return dict(group.standbys.get(node_name, {}))
+        standby = self.federation.nodes.get(node_name)
+        if group is None or standby is None or node_name not in group.standbys:
+            return {}
+        with group.log.lock:
+            self._catch_up(group, node_name, standby)
+        return dict(standby.standby_copies(partition))
 
-    def drop(self, partition: str) -> None:
+    def promote(self, partition: str, node, names: Iterable[str]) -> List[str]:
+        """Failover: ``node`` serves its standby copies of ``partition``
+        as primaries under ``names``, after replaying any shipped but
+        unapplied tail.  The partition's group is dropped; returns the
+        names no copy existed for (their state is lost)."""
         with self._lock:
-            self._groups.pop(partition, None)
-            self._index.pop(partition, None)
-            self._index_epoch.pop(partition, None)
+            group = self._groups.pop(partition, None)
+        promoted = {}
+        if group is not None and node.name in group.standbys:
+            with group.log.lock:
+                self._catch_up(group, node.name, node)
+                promoted = node.promote(partition, names)
+        return sorted(name for name in names if name not in promoted)
 
     def rebuild(self) -> None:
         """Re-place every group after a topology change and resync."""
@@ -837,11 +818,10 @@ class ReplicaManager:
             for name in self.federation.naming.list()
         }
         with self._lock:
-            for stale in set(self._groups) - partitions:
-                del self._groups[stale]
-            for stale in set(self._index) - partitions:
-                self._index.pop(stale, None)
-                self._index_epoch.pop(stale, None)
+            stale = [self._groups.pop(p) for p in set(self._groups) - partitions]
+        for group in stale:
+            with group.log.lock:
+                self._drop_copies(group)
         for partition in sorted(partitions):
             self.sync_partition(partition)
 
@@ -862,17 +842,14 @@ class ReplicaManager:
             return {
                 "standbys_per_partition": self.count,
                 "partitions": len(self._groups),
-                "copies": sum(
-                    len(copies)
-                    for group in self._groups.values()
-                    for copies in group.standbys.values()
-                ),
                 "syncs": self.syncs,
                 "skipped_syncs": self.skipped_syncs,
                 "log_appends": self.log_appends,
                 "snapshots": self.snapshots,
                 "replica_lag": lag,
                 "max_replica_lag": self.max_replica_lag,
+                "replay_failures": self.replay_failures,
+                "snapshot_failures": self.snapshot_failures,
             }
 
 
@@ -898,6 +875,10 @@ class Federation:
                 f"unknown transport mode {transport!r} "
                 f"(one of {', '.join(self.TRANSPORT_MODES)})"
             )
+        if socket_family not in ("tcp", "unix"):
+            raise FederationError(
+                f"unknown socket family {socket_family!r} (tcp or unix)"
+            )
         self.clock = SimClock()
         self.seed = seed
         self.faults = FaultInjector(seed)
@@ -922,7 +903,6 @@ class Federation:
         #: per-node wire listeners and their endpoints (socket mode)
         self._wire_servers: Dict[str, Any] = {}
         self._endpoints: Dict[str, str] = {}
-        self._socket_transport = None
         self._unix_sock_dir: Optional[str] = None
         #: synchronous hop transport (caller-thread semantics; in socket
         #: mode delivery still runs inline — the wire wait is in the
@@ -973,6 +953,9 @@ class Federation:
         #: spec; consulted (in declaration order) for calls issued
         #: without an explicit per-call policy
         self._binding_qos: List[Tuple[str, QoS]] = []
+        #: the spec's client default: the policy of a routed call that
+        #: states none and matches no per-binding declaration
+        self.client_qos: Optional[QoS] = None
         #: the DeploymentSpec this federation was compiled from and the
         #: BootstrapPlan that materialized it (set by
         #: DeploymentCompiler.deploy; None for hand-built federations)
@@ -1009,7 +992,7 @@ class Federation:
         )
         node.federation = self
         self._instrument_node(node)
-        self.naming.add_shard(name, node.services.naming)
+        self.naming.add_shard(name, node.shard)
         self.nodes[name] = node
         if self.transport_mode == "socket":
             self._start_wire_server(node)
@@ -1039,17 +1022,17 @@ class Federation:
         """Wait until every asynchronous delivery (oneways included) landed."""
         quiet = self._async.drain(timeout_s)
         for node in list(self.nodes.values()):
-            quiet = node.services.bus.drain(timeout_s) and quiet
+            quiet = node.drain(timeout_s) and quiet
         return quiet
 
     def shutdown(self) -> None:
         self._async.shutdown()
-        if self._socket_transport is not None:
-            self._socket_transport.shutdown()
         for name in list(self._wire_servers):
             self._stop_wire_server(name)
+        # nodes first: a worker node's polite stop still needs the wire
         for node in list(self.nodes.values()):
             node.shutdown()
+        self.transport.shutdown()
         if self._unix_sock_dir is not None:
             import shutil
 
@@ -1131,21 +1114,21 @@ class Federation:
         ops = frozenset(operations)
         self.read_only_ops[type_name] = ops
         for node in self.nodes.values():
-            node.services.bus.mark_read_only(type_name, ops)
+            node.mark_read_only(type_name, ops)
 
-    def set_binding_qos(self, pattern: str, qos: QoS) -> None:
-        """Declare the default QoS for bindings matching ``pattern``
-        (fnmatch over the federation name; declaration order wins)."""
-        self._binding_qos.append((pattern, qos))
-
-    def replace_binding_qos(self, pairs: Iterable[Tuple[str, QoS]]) -> None:
-        """Swap the whole per-binding QoS table in one assignment (the
-        reconciler's path: a spec diff re-declares the table rather than
-        patching it, so removals take effect too)."""
+    def replace_binding_qos(
+        self, pairs: Iterable[Tuple[str, QoS]], client: Optional[QoS] = None
+    ) -> None:
+        """Swap the whole QoS declaration in one step — the per-binding
+        table and the client default (the compiler's and reconciler's
+        path: a spec diff re-declares it rather than patching it, so
+        removals take effect too)."""
         self._binding_qos = list(pairs)
+        self.client_qos = client
 
     def qos_for(self, name: str) -> Optional[QoS]:
-        """The declared default QoS for ``name`` (None if undeclared)."""
+        """The declared default QoS for ``name`` (None if undeclared;
+        fnmatch over the federation name, declaration order wins)."""
         for pattern, qos in self._binding_qos:
             if fnmatch.fnmatchcase(name, pattern):
                 return qos
@@ -1174,16 +1157,6 @@ class Federation:
     def _bindings_by_partition(self) -> Dict[str, List[str]]:
         return self._group_by_partition(self.naming.list())
 
-    def _servant_on(
-        self, node: Node, name: str
-    ) -> Optional[Tuple[ObjectRefData, Any]]:
-        """The live (ref, servant) behind ``name`` on ``node`` (or None)."""
-        try:
-            ref = node.services.naming.resolve(name)
-            return ref, node.services.bus.servant(ref.object_id)
-        except (NamingError, ReproError):
-            return None
-
     def servant(self, name: str) -> Any:
         """The live servant currently serving ``name`` — follows
         migrations and failovers, unlike a reference captured at setup."""
@@ -1191,20 +1164,14 @@ class Federation:
         return self.node(owner).services.bus.servant(ref.object_id)
 
     def _export_shard(self, source: Node, partition: str, names: List[str]) -> ShardManifest:
-        manifest = ShardManifest(partition=partition, source=source.name)
-        for name in sorted(names):
-            found = self._servant_on(source, name)
-            if found is None:
-                continue
-            ref, servant = found
-            # snapshot under the servant's dispatch lock: the freeze
-            # drained routed calls, but a nested delivery that bypassed
-            # the frozen wait could still be mutating this servant
-            state = source.dispatcher.serialize(
-                ref.object_id, lambda s=servant: dict(s.__dict__)
-            )
-            manifest.entries.append((name, type(servant).__name__, state))
-        return manifest
+        # snapshots are taken under each servant's dispatch lock: the
+        # freeze drained routed calls, but a nested delivery that
+        # bypassed the frozen wait could still be mutating a servant
+        return ShardManifest(
+            partition=partition,
+            source=source.name,
+            entries=[entry[:3] for entry in source.snapshot(sorted(names))],
+        )
 
     def _import_shard(self, target: Node, manifest: ShardManifest) -> int:
         """Materialize a manifest's servants on ``target``; returns count."""
@@ -1228,14 +1195,12 @@ class Federation:
 
     def _release_exported(self, source: Node, manifest: ShardManifest) -> None:
         """Drop the moved bindings (and servants) from the old owner."""
+        services = source.services
         for name, _type_name, _state in manifest.entries:
-            found = self._servant_on(source, name)
-            try:
-                source.services.naming.unbind(name)
-            except NamingError:
-                pass
-            if found is not None:
-                source.services.orb.unregister(found[1])
+            with contextlib.suppress(ReproError):
+                ref = services.naming.resolve(name)
+                services.naming.unbind(name)
+                services.orb.unregister(services.bus.servant(ref.object_id))
 
     def join(
         self,
@@ -1269,11 +1234,11 @@ class Federation:
             if deploy is not None:
                 deploy(node)
             for user, password, roles in self._provisioned_users:
-                node.services.credentials.add_user(user, password, roles=roles)
+                node.add_user(user, password, roles=roles)
             for site, probability, kwargs in self._fault_sites:
-                node.services.faults.configure(site, probability, **kwargs)
+                node.configure_fault(site, probability, **kwargs)
             for type_name, ops in self.read_only_ops.items():
-                node.services.bus.mark_read_only(type_name, ops)
+                node.mark_read_only(type_name, ops)
             grouped = self._bindings_by_partition()
             total = sum(len(names) for names in grouped.values())
             next_ring = self.naming.preview_ring(add=name)
@@ -1297,7 +1262,7 @@ class Federation:
                 # (and its node entry published first, so a resolver that
                 # sees the new topology always finds the node)
                 self.nodes[name] = node
-                self.naming.add_shard(name, node.services.naming)
+                self.naming.add_shard(name, node.shard)
                 for source, manifest in manifests:
                     self._release_exported(source, manifest)
             self.joins += 1
@@ -1440,16 +1405,9 @@ class Federation:
             lost: List[str] = []
             for partition, pnames in sorted(grouped.items()):
                 new_owner = self.node(survivors.owner(partition))
-                copies = self.replicas.take(partition, new_owner.name)
-                for bound in sorted(pnames):
-                    standby = copies.get(bound)
-                    if standby is None:
-                        lost.append(bound)
-                        continue
-                    ref = new_owner.services.orb.register(standby)
-                    new_owner.services.naming.rebind(bound, ref)
-                    moved += 1
-                self.replicas.drop(partition)
+                missing = self.replicas.promote(partition, new_owner, pnames)
+                lost.extend(missing)
+                moved += len(pnames) - len(missing)
             # epoch swap: ownership falls to the ring successors — the
             # nodes whose standby copies were just promoted
             self.naming.remove_shard(name)
@@ -1501,25 +1459,32 @@ class Federation:
         topology lock may be waiting for exactly that entry to drain —
         blocking here would stall both until the freeze timeout.
 
-        A ``mid_call`` fault (socket mode: the reply vanished after the
-        request frame was written) is upgraded to pre-effect only when
-        the node is confirmed dead or already removed — under fail-stop
-        its unacked effect died with it and re-delivery re-resolves onto
-        the promoted owner.  While the node is still alive the fault
-        stays non-retryable: a lost reply must not re-run the effect."""
+        Nothing is promoted while the node is still alive: a worker
+        process can refuse a dial for a moment before its exit is
+        observable, and a ``mid_call`` fault (socket mode: the reply
+        vanished after the request frame was written) on a living node
+        stays non-retryable — a lost reply must not re-run the effect.
+        Once the node is confirmed dead or already removed, a mid-call
+        fault is upgraded to pre-effect: under fail-stop its unacked
+        effect died with it and re-delivery re-resolves onto the
+        promoted owner."""
         try:
             return proceed()
         except NodeDownError as exc:
-            if exc.node:
-                if exc.pre_effect:
-                    self.fail_over(exc.node, blocking=False)
-                elif exc.mid_call:
-                    node = self.nodes.get(exc.node)
-                    if node is None or not node.alive:
-                        with contextlib.suppress(FederationError):
-                            self.fail_over(exc.node, blocking=False)
-                        exc.pre_effect = True
+            self._node_down(exc)
             raise
+
+    def _node_down(self, exc: NodeDownError) -> None:
+        """The failover element's reaction to one dead-node fault."""
+        node = self.nodes.get(exc.node)
+        if not exc.node or (node is not None and node.alive):
+            return
+        if exc.pre_effect:
+            self.fail_over(exc.node, blocking=False)
+        elif exc.mid_call:
+            with contextlib.suppress(FederationError):
+                self.fail_over(exc.node, blocking=False)
+            exc.pre_effect = True
 
     # -- users ------------------------------------------------------------------
 
@@ -1528,7 +1493,7 @@ class Federation:
         so joining nodes are provisioned identically)."""
         self._provisioned_users.append((name, password, tuple(roles)))
         for node in self.nodes.values():
-            node.services.credentials.add_user(name, password, roles=roles)
+            node.add_user(name, password, roles=roles)
 
     # -- faults -------------------------------------------------------------------
 
@@ -1538,13 +1503,13 @@ class Federation:
         self.observability.emit("fault_armed", site=site, probability=probability)
         self.faults.configure(site, probability, **kwargs)
         for node in self.nodes.values():
-            node.services.faults.configure(site, probability, **kwargs)
+            node.configure_fault(site, probability, **kwargs)
 
     def faults_injected(self) -> Dict[str, int]:
         """Injected-fault counters summed over the transport and all nodes."""
         totals: Dict[str, int] = dict(self.faults.injected)
         for node in self.nodes.values():
-            for site, count in node.services.faults.injected.items():
+            for site, count in node.faults_injected().items():
                 totals[site] = totals.get(site, 0) + count
         return totals
 
@@ -1648,13 +1613,15 @@ class Federation:
 
         In-process and queued modes execute the node hop directly
         (:meth:`_local_dispatch`); socket mode sends the hop over a real
-        wire connection to the owner node's listener, whose server-side
-        handler runs the *same* :meth:`_local_dispatch` — so the node
-        guard, dispatcher serialization, and replication semantics are
-        identical on both sides of the wire.
+        wire connection to the owner node's listener.  For an in-process
+        node that listener runs the *same* :meth:`_local_dispatch` — so
+        the node guard, dispatcher serialization, and replication
+        semantics are identical on both sides of the wire; a worker
+        process replies with the states the call touched, which the
+        front end logs (:meth:`ReplicaManager.sync_partition`).
         """
         if self.transport_mode == "socket" and envelope is not None:
-            return self._wire_dispatch(node, ref, envelope)
+            return self._wire_dispatch(node, ref, envelope, partition)
         return self._local_dispatch(
             node, ref, operation, args, kwargs, context, partition
         )
@@ -1690,16 +1657,10 @@ class Federation:
         self._admit(node)
         try:
             track = partition is not None and self.replicas is not None
-            bus = node.services.bus
-            before = bus.mutations if track else 0
+            before = node.services.bus.mutations if track else 0
             value = node.invoke(ref, operation, args, kwargs or {}, context)
             if track:
-                if bus.mutations != before:
-                    self.replicas.sync_partition(
-                        partition, touched=bus.touched_since(before)
-                    )
-                else:
-                    self.replicas.note_skip()
+                self.replicas.sync_partition(partition, node.touched_states(before))
             return value
         finally:
             self._release(node)
@@ -1713,7 +1674,13 @@ class Federation:
             return value.ref
         return None
 
-    def _wire_dispatch(self, node: Node, ref: ObjectRefData, envelope: Envelope):
+    def _wire_dispatch(
+        self,
+        node: Node,
+        ref: ObjectRefData,
+        envelope: Envelope,
+        partition: Optional[str] = None,
+    ):
         """Send one routed hop over the wire to ``node``'s listener.
 
         The hop envelope carries the *same* correlation id, message id,
@@ -1723,7 +1690,9 @@ class Federation:
         into pure wire values (proxies become references).  Faults come
         back as FAULT frames and re-raise here with their retryability
         intact, so the failover element and the QoS budget behave
-        exactly as they do in process.
+        exactly as they do in process.  The node reads its own reply
+        (:meth:`Node.wire_reply`; a worker node also logs the states
+        its reply carries to ``partition``'s replication log).
         """
         request = envelope.request
         hop = Envelope(
@@ -1744,13 +1713,9 @@ class Federation:
             label=envelope.label,
             attempt=envelope.attempt,
         )
-        response = self._socket_transport.roundtrip(node.name, hop)
-        if response is None:  # oneway: the ack is the whole reply
-            return None
-        if response.is_error:
-            node.services.bus.raise_remote(response)
-        # hydrate through the owner's orb, as an in-process hop would
-        return node.services.orb._from_wire(response.result)
+        return node.wire_reply(
+            self.transport.roundtrip(node.name, hop), partition
+        )
 
     def _serve_wire_request(self, node: Node, envelope: Envelope):
         """Server half of a wire hop: runs on the listener's connection
@@ -1806,7 +1771,7 @@ class Federation:
         server = self._wire_servers.pop(name, None)
         if server is not None:
             server.stop()
-        if endpoint is not None and self._socket_transport is not None:
+        if endpoint is not None:
             self._socket_transport.pool.invalidate(endpoint)
 
     def _unix_dir(self) -> str:
@@ -1849,10 +1814,11 @@ class Federation:
         took over its shard.
         """
         if qos is DEFAULT_QOS and binding is not None:
-            # spec-declared per-binding QoS default: applies only when
-            # the caller did not state a policy (identity check — an
-            # explicit QoS() equal to the default is still explicit)
-            declared = self.qos_for(binding)
+            # spec-declared QoS defaults — the binding's, else the
+            # client's: they apply only when the caller did not state a
+            # policy (identity check — an explicit QoS() equal to the
+            # default is still explicit)
+            declared = self.qos_for(binding) or self.client_qos
             if declared is not None:
                 qos = declared
         provider = context if callable(context) else None
@@ -1914,9 +1880,16 @@ class Federation:
                 env.target = owner.name
                 env.label = f"{live_ref.type_name}.{operation}"
                 env.request.object_id = live_ref.object_id
-                env.request.context = attempt_context = dict(
-                    context_for(owner) or {}
-                )
+                try:
+                    attempt_context = dict(context_for(owner) or {})
+                except NodeDownError as exc:
+                    # minting a token on a dead owner (a worker node's
+                    # login round trip) fails before the chain runs: it
+                    # gets the failover element's reaction, so the QoS
+                    # budget's re-delivery lands on the promoted owner
+                    self._node_down(exc)
+                    raise
+                env.request.context = attempt_context
                 if trace_headers is not None:
                     attempt_context[TRACE_KEY] = trace_headers
                 # the dispatch reads the *envelope's* context: chain
@@ -2185,17 +2158,11 @@ class Federation:
                 item.label, owner.name, time.perf_counter() - started
             )
             if self.replicas is not None and item.name is not None:
-                # same mutation narrowing as the per-call path: members
-                # whose dispatch bumped no mutation flag skip the sync,
-                # and the rest refresh only the servants they touched
-                bus = owner.services.bus
-                if bus.mutations != mutations_before:
-                    self.replicas.sync_partition(
-                        ShardedNamingService.partition_key(item.name),
-                        touched=bus.touched_since(mutations_before),
-                    )
-                else:
-                    self.replicas.note_skip()
+                # same mutation narrowing as the per-call path
+                self.replicas.sync_partition(
+                    ShardedNamingService.partition_key(item.name),
+                    owner.touched_states(mutations_before),
+                )
             item.future._complete(value)
         return len(items)
 
@@ -2225,6 +2192,8 @@ class Federation:
         async_transport = self._async.peek()
         if async_transport is not None:
             stats["async_transport"] = async_transport.stats()
+        if self.transport_mode == "socket":
+            stats["transport"] = self.transport.stats()
         return stats
 
 
@@ -2363,8 +2332,7 @@ class FederationClient:
     def _token_for(self, node: Node) -> str:
         token = self._tokens.get(node.name)
         if token is None:
-            credential = node.services.auth.login(self.user, self.password)
-            token = self._tokens[node.name] = credential.token
+            token = self._tokens[node.name] = node.login(self.user, self.password)
         return token
 
     def _context_for(self, node: Node) -> Optional[Dict[str, Any]]:

@@ -829,21 +829,6 @@ class ElasticBankingScenario(BankingScenario):
     def build_pim(self):
         return _add_touch_probe(super().build_pim())
 
-    # -- deployment -------------------------------------------------------------
-    #
-    # The compiler ships the vendor lifecycle once and replays the
-    # package per node for *every* spec-declared scenario; the elastic
-    # scenario only needs the joiner hook below to replay that same
-    # artifact on a node joining mid-run — migration ships servant state
-    # (ShardManifest), the package ships the code to host it.
-
-    @staticmethod
-    def deploy_node(federation, node) -> None:
-        """Replay the federation's shipped package onto one node."""
-        from repro.deploy.compiler import DeploymentCompiler
-
-        DeploymentCompiler.deploy_node(federation, node)
-
     # -- the churn campaign ---------------------------------------------------
 
     def churn_plan(self, config):
@@ -864,7 +849,9 @@ class ElasticBankingScenario(BankingScenario):
                 self.JOINED_NODE,
                 workers=run_config.workers if run_config.concurrent else 0,
                 seed=run_config.seed * 31 + 97,
-                deploy=lambda node: self.deploy_node(federation, node),
+                # the joiner replays the package every node runs:
+                # migration ships servant state, the package the code
+                deploy=lambda node: node.install(federation.app_package),
             )
 
         def retire(federation, state):

@@ -279,6 +279,27 @@ class TestCompiler:
         assert kinds.index("node") < kinds.index("partition")
         assert "bootstrap plan" in plan.describe()
 
+    def test_client_qos_applies_to_routed_calls(self):
+        """The spec's client default reaches in-process calls that state
+        no policy: after a kill, a spec-deployed client's call fails
+        over and is re-delivered instead of surfacing NodeDownError."""
+        spec = banking_spec(
+            nodes=3,
+            replication=ReplicationSpec(count=1),
+            qos_profiles=(QoSProfile("retry", retries=4),),
+            client_qos="retry",
+        )
+        federation = DeploymentCompiler().deploy(spec)
+        try:
+            name = spec.partitions[0].servants[-1].name
+            client = FederationClient(federation, "alice", "pw")
+            before = client.call(name, "getBalance")
+            federation.kill(federation.naming.owner_of(name))
+            assert client.call(name, "getBalance") == before
+            assert federation.failovers == 1
+        finally:
+            federation.shutdown()
+
     def test_compile_rejects_invalid_spec(self):
         with pytest.raises(DeploymentError):
             DeploymentCompiler().compile(

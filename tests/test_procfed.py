@@ -11,14 +11,19 @@ new primary.
 """
 
 import dataclasses
+import random
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
+from repro.deploy import DeploymentCompiler
 from repro.deploy.spec import QoSProfile, ReplicationSpec
-from repro.errors import NodeDownError
+from repro.errors import NamingError, NodeDownError
 from repro.middleware.envelope import QoS
+from repro.runtime.federation import FederationClient
 from repro.runtime.harness import RunConfig
 from repro.runtime.procfed import ANNOUNCE_PREFIX, ProcessFederation, _worker_env
 from repro.runtime.scenarios import get_scenario
@@ -104,6 +109,14 @@ class TestProcessFederation:
         with pytest.raises(RemoteInvocationError, match="insufficient funds"):
             client.call("branch-0/Account/1", "withdraw", 10**9)
 
+    def test_membership_changes_are_in_process_only(self, fed):
+        from repro.errors import FederationError
+
+        for change in (fed.join, fed.retire):
+            with pytest.raises(FederationError, match="in-process"):
+                change("node-9")
+        assert len(fed.workers) == 3
+
     def test_routing_and_transport_stats(self, fed, client):
         client.call("branch-0/Account/0", "getBalance")
         stats = fed.stats()
@@ -146,19 +159,185 @@ class TestProcessFailover:
             assert excinfo.value.pre_effect
 
 
-    def test_failed_write_through_sync_is_counted(self):
-        """A write-through sync that cannot reach its owner worker must
-        not fail the call that triggered it, but it is not swallowed
-        either: the federation counts it and emits an event."""
+    def test_fresh_client_fails_over_on_its_first_call(self):
+        """A new client's first call mints its token on the dead owner;
+        that failed login reaches the failover element, so the retry
+        budget lands the call on the promoted successor."""
         with ProcessFederation(banking_spec()) as fed:
             owner = fed.naming.owner_of("branch-0")
-            assert fed.stats()["sync_failures"] == 0
             fed.kill(owner)
-            fed._sync_partition("branch-0", owner)
-            assert fed.stats()["sync_failures"] == 1
-            event = fed.observability.events.last("sync_failure")
+            client = fed.client("alice", "pw")
+            assert client.call("branch-0/Account/0", "getBalance") == 1000.0
+            assert fed.failovers == 1
+            assert fed.naming.owner_of("branch-0") != owner
+
+    def test_failed_standby_replay_is_counted(self):
+        """A standby replay that cannot reach its worker must not fail
+        the write that triggered it, but it is not swallowed either: it
+        is counted, emitted as an event, and the standby's watermark
+        stays put so the next catch-up re-sends the slice."""
+        with ProcessFederation(banking_spec()) as fed:
+            client = fed.client("alice", "pw")
+            standby = fed.naming.ring.preference("branch-0", 2)[1]
+            assert fed.stats()["replication"]["replay_failures"] == 0
+            fed.kill(standby)
+            assert client.call("branch-0/Account/0", "deposit", 5) == 1005.0
+            assert fed.stats()["replication"]["replay_failures"] == 1
+            event = fed.observability.events.last("replay_failure")
             assert event["partition"] == "branch-0"
-            assert event["owner"] == owner
+            assert event["standby"] == standby
+            group = fed.replicas._groups["branch-0"]
+            assert group.watermarks[standby] < group.log.seq
+            assert fed.replicas.replica_lag() >= 1
+
+
+class TestReplicationOrder:
+    @pytest.mark.parametrize("kind", ["inproc", "worker"])
+    def test_a_late_older_snapshot_never_overwrites_a_newer_one(self, kind):
+        """Two deposits on one account whose syncs reach the log in the
+        reverse order: the later-arriving, older state is dropped, so
+        the standby equals the primary after each write."""
+        spec = banking_spec()
+        if kind == "inproc":
+            fed = DeploymentCompiler().deploy(spec)
+            client = FederationClient(fed, "alice", "pw")
+        else:
+            fed = ProcessFederation(spec).start()
+            client = fed.client("alice", "pw")
+        name, partition = "branch-0/Account/0", "branch-0"
+        replicas = fed.replicas
+        sync, invoked, overtaken = (
+            replicas.sync_partition, threading.Event(), threading.Event()
+        )
+
+        def late_sync(partition, states=None):
+            if states and threading.current_thread().name == "late":
+                invoked.set()
+                overtaken.wait(10)
+            return sync(partition, states)
+
+        replicas.sync_partition = late_sync
+        try:
+            for round_ in range(3):
+                invoked.clear()
+                overtaken.clear()
+                late = threading.Thread(
+                    target=client.call, args=(name, "deposit", 1), name="late"
+                )
+                late.start()
+                assert invoked.wait(10)
+                client.call(name, "deposit", 10)
+                overtaken.set()
+                late.join(10)
+                owner = fed.node(fed.naming.owner_of(partition))
+                primary = owner.snapshot([name])[0][2]
+                assert primary["balance"] == 1000.0 + 11 * (round_ + 1)
+                for standby in replicas._groups[partition].standbys:
+                    copy = replicas.take(partition, standby)[name]
+                    assert vars(copy) == primary, (round_, standby)
+        finally:
+            del replicas.sync_partition
+            fed.shutdown()
+
+
+class TestOneways:
+    def test_oneway_ack_carries_the_touched_states(self, fed, client):
+        """A oneway's ack ships the states its dispatch touched, as a
+        reply does: a read-only oneway logs nothing, a mutating one logs
+        only its servant (no full-partition sync)."""
+        name = "branch-3/Account/0"
+        appends = fed.replicas.stats()["log_appends"]
+        client.oneway(name, "getBalance")
+        assert fed.quiesce(10.0)
+        assert fed.replicas.stats()["log_appends"] == appends
+        client.oneway(name, "deposit", 3)
+        assert fed.quiesce(10.0)
+        assert fed.replicas.stats()["log_appends"] == appends + 1
+        standby = fed.replicas._groups["branch-3"].standbys[0]
+        assert fed.replicas.take("branch-3", standby)[name].balance == 1003.0
+
+
+class TestUnboundNames:
+    @pytest.mark.parametrize("style", ["call", "call_async", "call_oneway"])
+    def test_unbound_name_raises_at_once(self, fed, style):
+        started = time.perf_counter()
+        with pytest.raises(NamingError):
+            getattr(fed, style)("branch-0/Account/999", "getBalance")
+        assert time.perf_counter() - started < 0.1
+
+
+def banking_ops(count, seed):
+    """A seeded banking op list: (kind, account, amount, other account)."""
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(count):
+        branch = rng.randrange(6)
+        first, second = rng.sample(range(4), 2)
+        ops.append(
+            (
+                rng.choice(("deposit", "withdraw", "getBalance", "transfer")),
+                branch,
+                f"branch-{branch}/Account/{first}",
+                f"branch-{branch}/Account/{second}",
+                float(rng.randrange(1, 50)),
+            )
+        )
+    return ops
+
+
+def run_op(client, op):
+    kind, branch, account, other, amount = op
+    if kind == "getBalance":
+        return client.call(account, "getBalance")
+    if kind == "transfer":
+        return client.call(
+            f"branch-{branch}/Bank/0", "transfer",
+            client.ref(account), client.ref(other), amount,
+        )
+    return client.call(account, kind, amount)
+
+
+class TestParity:
+    def test_worker_federation_matches_in_process_and_standbys_track_the_log(self):
+        """One seeded op list on both deployments of one spec: the same
+        values and final balances; after every write, each standby
+        worker's copies equal the owner's state at the log watermark."""
+        spec = banking_spec()
+        ops = banking_ops(40, seed=3)
+        accounts = [
+            servant.name
+            for _partition, servant in spec.servants()
+            if servant.type_name == "Account"
+        ]
+        inproc = DeploymentCompiler().deploy(spec)
+        try:
+            local = FederationClient(inproc, "alice", "pw")
+            with ProcessFederation(spec) as fed:
+                remote = fed.client("alice", "pw")
+                for op in ops:
+                    assert run_op(remote, op) == run_op(local, op), op
+                    if op[0] == "getBalance":
+                        continue
+                    partition = f"branch-{op[1]}"
+                    group = fed.replicas._groups[partition]
+                    owner = fed.node(fed.naming.owner_of(partition))
+                    primary = {
+                        name: state
+                        for name, _type, state, _version in owner.snapshot(
+                            fed.naming.shard(owner.name).list(partition)
+                        )
+                    }
+                    for standby in group.standbys:
+                        assert group.watermarks[standby] == group.log.seq
+                        copies = fed.replicas.take(partition, standby)
+                        assert {
+                            name: vars(copy) for name, copy in copies.items()
+                        } == primary
+                assert {
+                    name: remote.call(name, "getBalance") for name in accounts
+                } == {name: local.call(name, "getBalance") for name in accounts}
+        finally:
+            inproc.shutdown()
 
 
 class TestNodeServeCli:

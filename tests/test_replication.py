@@ -337,6 +337,22 @@ class TestReplayEquivalence:
         assert_standbys_match_primaries(federation, names)
         federation.shutdown()
 
+    def test_departed_standbys_drop_their_copies(self):
+        federation, names = build(nodes=3, partitions=12)
+        federation.join("node-joiner", deploy=deploy_module)
+        federation.retire("node-0")
+        # join and retire re-placed groups: a node that stopped being a
+        # partition's standby (or became its owner) holds no copies of it
+        groups = federation.replicas._groups
+        for node in federation.nodes.values():
+            for partition, copies in node.standbys.items():
+                assert not copies or node.name in groups[partition].standbys, (
+                    node.name,
+                    partition,
+                )
+        assert_standbys_match_primaries(federation, names)
+        federation.shutdown()
+
     def test_kill_after_log_tail_promotes_last_write(self):
         federation, names = build(snapshot_every=4)
         name = names[0]
@@ -347,6 +363,46 @@ class TestReplayEquivalence:
         # write included — the QoS budget absorbs the dead-node fault
         assert federation.call(name, "read", qos=RETRY) == expected
         assert federation.failovers == 1
+        federation.shutdown()
+
+
+class TestPartitionLocks:
+    def test_a_stalled_standby_replay_blocks_only_its_partition(self):
+        """Replication holds one partition's lock across its standby
+        replays: a replay that hangs stalls writes to that partition,
+        never writes to another one."""
+        federation, names = build(nodes=3, partitions=6)
+        stalled_name, other_name = names[0], names[-1]
+        stalled = federation.naming.partition_key(stalled_name)
+        assert federation.naming.partition_key(other_name) != stalled
+        standby = federation.nodes[federation.replicas._groups[stalled].standbys[0]]
+        replay, entered, release = standby.replay, threading.Event(), threading.Event()
+
+        def hanging_replay(partition, entries, reset=False):
+            if partition == stalled:
+                entered.set()
+                release.wait(10)
+            return replay(partition, entries, reset)
+
+        standby.replay = hanging_replay
+        writer = threading.Thread(
+            target=federation.call, args=(stalled_name, "bump", 1.0)
+        )
+        other = threading.Thread(
+            target=federation.call, args=(other_name, "bump", 1.0)
+        )
+        writer.start()
+        try:
+            assert entered.wait(10)
+            other.start()
+            other.join(5)
+            assert not other.is_alive(), "a stalled replay blocked another partition"
+        finally:
+            release.set()
+            writer.join(10)
+            other.join(10)
+            del standby.replay
+        assert_standbys_match_primaries(federation, names)
         federation.shutdown()
 
 

@@ -278,10 +278,16 @@ class TestFederation:
         federation = Federation(seed=7)
         for i in range(nodes):
             federation.add_node(f"node-{i}")
+        from repro.core import MdaLifecycle, MiddlewareServices, ship
+
         spec = get_scenario("banking")
         config = RunConfig(scenario="banking", nodes=nodes)
+        vendor = MdaLifecycle(spec.build_pim(), services=MiddlewareServices.create())
+        for concern, params in spec.concerns():
+            vendor.apply_concern(concern, **params)
+        package = ship(vendor)
         for node in federation.nodes.values():
-            node.deploy(spec.build_pim(), spec.concerns())
+            node.install(package)
         for user, password, roles in spec.users:
             federation.add_user(user, password, roles=roles)
         return federation, spec, config
