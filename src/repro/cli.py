@@ -630,14 +630,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--transport",
-        choices=("inproc", "queued", "socket"),
+        choices=("inproc", "socket"),
         default="inproc",
-        help="how routed federation hops travel: 'inproc' runs the hop "
-        "on the caller's thread (default), 'queued' forces delivery "
-        "threads, 'socket' sends every hop through a real wire "
-        "connection to the owner node's listener (full marshalling, "
-        "framing, and fault conversion — the same interceptor chain "
-        "runs unmodified)",
+        help="how routed federation hops travel: 'inproc' calls the "
+        "owner node directly (default), 'socket' sends every hop "
+        "through a real wire connection to the owner node's listener "
+        "(full marshalling, framing, and fault conversion — the same "
+        "interceptor chain runs unmodified)",
     )
     simulate.add_argument(
         "--trace",

@@ -88,21 +88,14 @@ class NodeSpec:
     ``workers == 0`` means serial dispatch (the deterministic baseline);
     ``seed`` parameterizes the node's private middleware services (fault
     RNG); ``None`` lets the compiler derive one from the spec seed.
-    ``transport`` overrides the spec-level transport mode for this node
-    (``None`` inherits the deployment default); it is serialized only
-    when set, so existing specs — and their digests — are unchanged.
     """
 
     name: str
     workers: int = 0
     seed: Optional[int] = None
-    transport: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        data = {"name": self.name, "workers": self.workers, "seed": self.seed}
-        if self.transport is not None:
-            data["transport"] = self.transport
-        return data
+        return {"name": self.name, "workers": self.workers, "seed": self.seed}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "NodeSpec":
@@ -110,7 +103,6 @@ class NodeSpec:
             name=data["name"],
             workers=data.get("workers", 0),
             seed=data.get("seed"),
-            transport=data.get("transport"),
         )
 
 
@@ -414,7 +406,7 @@ class DeploymentSpec:
     real_latency_ms: float = 0.0
     delivery_workers: int = 2
     seed: int = 0
-    #: how routed hops travel ("inproc", "queued", or "socket"); the
+    #: how routed hops travel ("inproc" or "socket"); the
     #: default is omitted from the serialized form and the digest, so a
     #: spec that never mentions transports hashes exactly as before
     transport: str = "inproc"
@@ -610,17 +602,11 @@ class DeploymentSpec:
             problems.append(
                 f"delivery_workers must be >= 1, got {self.delivery_workers}"
             )
-        transports = ("inproc", "queued", "socket")
+        transports = ("inproc", "socket")
         if self.transport not in transports:
             problems.append(
                 f"transport must be one of {transports}, got {self.transport!r}"
             )
-        for node in self.nodes:
-            if node.transport is not None and node.transport not in transports:
-                problems.append(
-                    f"node {node.name!r} transport must be one of "
-                    f"{transports}, got {node.transport!r}"
-                )
         return problems
 
     def validate(self) -> "DeploymentSpec":

@@ -17,7 +17,8 @@ latency and blocking I/O of independent requests overlap instead of
 queueing behind each other.
 
 Nested dispatches (server code that calls back into the same node while
-handling a request) execute inline on the current worker thread: routing
+handling a request) and the members of a pipelined batch
+(:class:`inline_dispatch`) execute inline on the current thread: routing
 them through the bounded pool again could exhaust it and deadlock, and
 the RLock makes re-entry on the same servant safe.  Nested calls that
 enter through the ORB directly (proxy arguments hydrated server-side)
@@ -30,7 +31,7 @@ servant's lock.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, TypeVar
 
 from repro.analysis.witness import named_lock, named_rlock
@@ -44,6 +45,24 @@ T = TypeVar("T")
 #: the remote node instead of blocking on another bounded pool (two
 #: saturated pools waiting on each other would deadlock the federation)
 _worker_local = threading.local()
+
+
+class inline_dispatch:
+    """Dispatch on this thread for a ``with`` block, as nested calls do.
+
+    A pipelined batch runs its members one after another on the thread
+    that delivers the batch; handing each member to a node's pool would
+    cost a thread handoff per call and buy no overlap.
+    """
+
+    __slots__ = ("_previous",)
+
+    def __enter__(self) -> None:
+        self._previous = getattr(_worker_local, "in_worker", False)
+        _worker_local.in_worker = True
+
+    def __exit__(self, *exc_info) -> None:
+        _worker_local.in_worker = self._previous
 
 
 class DispatchStats:
@@ -119,15 +138,6 @@ class _DispatcherBase:
         with self._servant_lock(key):
             return fn()
 
-    def _run_into_future(self, key: str, fn: Callable[[], T]) -> "Future":
-        """Run inline, packaging the outcome as an already-done future."""
-        future: Future = Future()
-        try:
-            future.set_result(self._run(key, fn))
-        except BaseException as exc:  # noqa: BLE001 - carried by the future
-            future.set_exception(exc)
-        return future
-
     def shutdown(self) -> None:  # pragma: no cover - overridden where needed
         """Release worker resources (no-op for the serial dispatcher)."""
 
@@ -139,10 +149,6 @@ class SerialDispatcher(_DispatcherBase):
 
     def dispatch(self, servant_key: str, fn: Callable[[], T]) -> T:
         return self._run(servant_key, fn)
-
-    def submit(self, servant_key: str, fn: Callable[[], T]) -> "Future":
-        """Non-blocking dispatch API; serial execution resolves inline."""
-        return self._run_into_future(servant_key, fn)
 
 
 class ConcurrentDispatcher(_DispatcherBase):
@@ -166,19 +172,6 @@ class ConcurrentDispatcher(_DispatcherBase):
         if getattr(_worker_local, "in_worker", False):
             return self._run(servant_key, fn)
         return self._pool.submit(self._worker_run, servant_key, fn).result()
-
-    def submit(self, servant_key: str, fn: Callable[[], T]) -> "Future":
-        """Hand the request to the pool without blocking on its result.
-
-        The asynchronous invocation path (batched pipelines, oneway
-        deliveries) uses this to overlap per-servant work of one batch
-        across the pool.  Calls from a worker thread run inline for the
-        same reason nested ``dispatch`` does: a saturated pool waiting on
-        itself would deadlock.
-        """
-        if getattr(_worker_local, "in_worker", False):
-            return self._run_into_future(servant_key, fn)
-        return self._pool.submit(self._worker_run, servant_key, fn)
 
     def _worker_run(self, servant_key: str, fn: Callable[[], T]) -> T:
         _worker_local.in_worker = True

@@ -10,15 +10,18 @@ The federation is the inter-node fabric:
   local naming service is its shard), so resolution is one hash plus one
   local lookup, with no global table.
 * :class:`Federation` — node registry plus the routed invocation path.
-  Every hop is an :class:`~repro.middleware.envelope.Envelope` running
-  through one ordered interceptor chain (metrics → fault injection →
-  latency → routing statistics → the owner node's dispatcher) over a
-  pluggable transport: in-process synchronous for classic blocking
-  calls, queued-asynchronous (delivery threads) for futures, oneways,
-  and pipelined batches.
+  Every hop is an :class:`~repro.middleware.envelope.Envelope` addressed
+  by a federation *name*: its handler resolves the owner on every
+  delivery attempt and runs one ordered interceptor chain (metrics →
+  trace → fault injection → failover → latency → routing statistics)
+  around the owner node's dispatch — in process, or over a real wire
+  connection in socket mode and on worker processes.  Synchronous calls
+  deliver on the caller's thread; futures and oneways on delivery
+  threads.
 * :class:`InvocationPipeline` — client-side batching: consecutive calls
   to the same node travel as one envelope, so a latency-bound client
-  pays one transport hop per batch instead of per call.
+  pays one transport hop per batch instead of per call.  Each member is
+  an ordinary routed call; only the hop is shared.
 * :class:`FederationClient` — a caller identity: resolves names anywhere
   in the federation and attaches per-node credentials to each request,
   in all four invocation styles (sync, async future, oneway, pipeline).
@@ -54,6 +57,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.witness import named_condition, named_lock, named_rlock
@@ -78,6 +82,7 @@ from repro.middleware.transport import (
     in_serving_thread,
 )
 from repro.middleware.rpc import RemoteProxy
+from repro.runtime.dispatch import inline_dispatch
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.node import Node
 from repro.runtime.observability import TRACE_KEY, Observability
@@ -358,8 +363,8 @@ class ShardManifest:
 class _MigrationGate:
     """Quiesces in-flight envelopes on a moving shard.
 
-    Routed deliveries ``enter`` their target partition for the duration
-    of the hop; a migration ``freeze``\\ s the moving partitions, which
+    Routed deliveries enter their target partition for the duration of
+    the hop; a migration ``freeze``\\ s the moving partitions, which
     (a) blocks *new* deliveries to them and (b) waits until every
     already-entered delivery has drained — so servant state is copied
     only while nothing executes against it, and resolution of the moving
@@ -391,62 +396,45 @@ class _MigrationGate:
             held = self._local.held = {}
         return held
 
-    def _enter(self, partitions: List[str]) -> None:
-        """Enter several partitions atomically.
+    def _enter(self, partition: str) -> None:
+        """Enter ``partition`` for one delivery; pair with :meth:`_exit`.
 
-        Waits until none of the *non-held* wanted partitions is frozen,
-        then takes every entry at once.  Partitions this thread already
-        holds are exempt from the wait (the freeze is waiting for those
-        entries; blocking on them would invert the wait), but a frozen
-        partition the thread does NOT hold always blocks — a nested or
-        batched delivery must never slip into a shard mid-export.  The
-        residual cross-wait (thread holds frozen A, wants frozen B) ends
-        at the freeze timeout: the migration fails cleanly rather than
-        the shard migrating with a torn snapshot.
+        Waits while the partition is frozen — unless this thread already
+        holds it: the freeze is waiting for that entry, so blocking on
+        it would invert the wait.  A frozen partition the thread does
+        NOT hold always blocks, so a nested delivery never slips into a
+        shard mid-export.  The residual cross-wait (thread holds frozen
+        A, wants frozen B) ends at the freeze timeout: the migration
+        fails cleanly rather than the shard migrating with a torn
+        snapshot.
         """
         held = self._held()
         waited_at = None
         with self._lock:
-            while self._frozen and any(
-                p in self._frozen and p not in held for p in partitions
-            ):
+            while partition in self._frozen and partition not in held:
                 if waited_at is None:
                     waited_at = time.perf_counter()
                 if not self._cond.wait(timeout=30.0):
                     raise FederationError(
-                        "partition(s) stayed frozen for 30s: "
-                        f"{sorted(self._frozen & set(partitions))}"
+                        f"partition {partition!r} stayed frozen for 30s"
                     )
-            for partition in partitions:
-                self._inflight[partition] = self._inflight.get(partition, 0) + 1
-        for partition in partitions:
-            held[partition] = held.get(partition, 0) + 1
+            self._inflight[partition] = self._inflight.get(partition, 0) + 1
+        held[partition] = held.get(partition, 0) + 1
         if waited_at is not None and self._observer is not None:
-            self._observer(partitions, (time.perf_counter() - waited_at) * 1000.0)
+            self._observer([partition], (time.perf_counter() - waited_at) * 1000.0)
 
-    def _exit(self, partitions: List[str]) -> None:
+    def _exit(self, partition: str) -> None:
         held = self._held()
-        for partition in partitions:
-            held[partition] -= 1
-            if not held[partition]:
-                del held[partition]
+        held[partition] -= 1
+        if not held[partition]:
+            del held[partition]
         with self._lock:
-            for partition in partitions:
-                self._inflight[partition] -= 1
-                if not self._inflight[partition]:
-                    del self._inflight[partition]
+            self._inflight[partition] -= 1
+            if not self._inflight[partition]:
+                del self._inflight[partition]
             if self._frozen:
                 # only a pending freeze waits for entries to drain
                 self._cond.notify_all()
-
-    @contextlib.contextmanager
-    def entered_many(self, partitions: Iterable[str]):
-        parts = sorted(set(partitions))
-        self._enter(parts)
-        try:
-            yield
-        finally:
-            self._exit(parts)
 
     @contextlib.contextmanager
     def freeze(self, partitions: Iterable[str], timeout_s: float = 30.0):
@@ -857,7 +845,7 @@ class Federation:
     """Named nodes + sharded naming + routed, metered invocation."""
 
     #: transport modes a federation can route hops through
-    TRANSPORT_MODES = ("inproc", "queued", "socket")
+    TRANSPORT_MODES = ("inproc", "socket")
 
     def __init__(
         self,
@@ -895,9 +883,9 @@ class Federation:
         self.routed: Dict[str, int] = {}  # guarded_by: _route_lock
         #: pipelined batches delivered per target node
         self.batches: Dict[str, int] = {}  # guarded_by: _route_lock
-        #: how routed hops travel: "inproc" (caller thread), "queued"
-        #: (delivery threads even for sync calls), or "socket" (every
-        #: hop crosses a real wire connection to the node's listener)
+        #: how routed hops travel: "inproc" (a direct node call) or
+        #: "socket" (every hop crosses a real wire connection to the
+        #: node's listener)
         self.transport_mode = transport
         self.socket_family = socket_family
         #: per-node wire listeners and their endpoints (socket mode)
@@ -924,13 +912,21 @@ class Federation:
             )
         )
         #: the one ordered element pipeline every routed hop runs through
+        metrics_element = self.metrics.element()
         self.chain = InterceptorChain()
-        self.chain.add("metrics", self.metrics.element())
+        self.chain.add("metrics", metrics_element)
         self.chain.add("trace", self.observability.tracer.element())
         self.chain.add("faults", self.faults.interceptor("federation.route"))
         self.chain.add("failover", self._failover_element)
         self.chain.add("latency", self._latency_element)
         self.chain.add("routing", self._routing_element)
+        #: the per-call reactions around each member of a pipelined
+        #: batch; the batch envelope's own hop runs ``chain``
+        self._member_chain = (
+            InterceptorChain()
+            .add("metrics", metrics_element)
+            .add("failover", self._failover_element)
+        )
         # -- elastic membership state --
         #: serializes join/retire/fail_over against each other
         self._topology_lock = named_rlock("federation.topology")
@@ -985,6 +981,14 @@ class Federation:
     ) -> Node:
         if name in self.nodes:
             raise FederationError(f"node {name!r} already exists")
+        node = self._new_node(name, workers, seed, node)
+        self._register(node)
+        return node
+
+    def _new_node(
+        self, name: str, workers: int, seed: Optional[int], node: Optional[Node]
+    ) -> Node:
+        """A member not yet routable: built (or adopted) and instrumented."""
         node = node or Node(
             name,
             workers=workers,
@@ -992,11 +996,16 @@ class Federation:
         )
         node.federation = self
         self._instrument_node(node)
-        self.naming.add_shard(name, node.shard)
-        self.nodes[name] = node
+        return node
+
+    def _register(self, node: Node) -> None:
+        """Make ``node`` routable — the one step :meth:`add_node` and
+        :meth:`join` share.  The node entry and its wire listener come
+        first, so a resolver that sees the new shard always finds both."""
+        self.nodes[node.name] = node
         if self.transport_mode == "socket":
             self._start_wire_server(node)
-        return node
+        self.naming.add_shard(node.name, node.shard)
 
     def _instrument_node(self, node: Node) -> None:
         """Weave the bus-level tracing element into the node's chain."""
@@ -1224,13 +1233,7 @@ class Federation:
             if name in self.nodes:
                 raise FederationError(f"node {name!r} already exists")
             self.reconcile()
-            node = node or Node(
-                name,
-                workers=workers,
-                seed=seed if seed is not None else len(self.nodes) + 1,
-            )
-            node.federation = self
-            self._instrument_node(node)
+            node = self._new_node(name, workers, seed, node)
             if deploy is not None:
                 deploy(node)
             for user, password, roles in self._provisioned_users:
@@ -1259,10 +1262,7 @@ class Federation:
                     moved += self._import_shard(node, manifest)
                 # the atomic ownership-epoch swap: the joiner becomes
                 # routable only now, with its bindings already in place
-                # (and its node entry published first, so a resolver that
-                # sees the new topology always finds the node)
-                self.nodes[name] = node
-                self.naming.add_shard(name, node.shard)
+                self._register(node)
                 for source, manifest in manifests:
                     self._release_exported(source, manifest)
             self.joins += 1
@@ -1556,23 +1556,13 @@ class Federation:
 
         From a thread that is itself serving a request (delivery thread
         or dispatcher pool worker), nested submissions run inline on the
-        in-process transport — queueing them behind the bounded pools
+        synchronous transport — queueing them behind the bounded pools
         the caller occupies could deadlock the federation, exactly like
         nested synchronous dispatch (the dispatcher's in-worker rule).
         """
         if in_serving_thread():
             return self.transport
         return self.async_transport
-
-    @staticmethod
-    def _inherit(context: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
-        """Default a missing context to the current delivery context, so
-        nested cross-node calls made by servants propagate transaction
-        ids and credentials without manual plumbing."""
-        if context is not None:
-            return context
-        inherited = current_delivery_context()
-        return inherited or None
 
     def _admit(self, node: Node) -> None:
         """Atomic aliveness check + in-flight accounting for one hop;
@@ -1599,19 +1589,11 @@ class Federation:
                     self._flight_cond.notify_all()
 
     def _dispatch(
-        self,
-        node: Node,
-        ref: ObjectRefData,
-        operation: str,
-        args: tuple,
-        kwargs: Optional[dict],
-        context: Optional[Dict[str, Any]],
-        partition: Optional[str] = None,
-        envelope: Optional[Envelope] = None,
+        self, node: Node, ref: ObjectRefData, envelope: Envelope, partition: str
     ):
         """The routing terminal — branches on the transport mode.
 
-        In-process and queued modes execute the node hop directly
+        In-process mode executes the node hop directly
         (:meth:`_local_dispatch`); socket mode sends the hop over a real
         wire connection to the owner node's listener.  For an in-process
         node that listener runs the *same* :meth:`_local_dispatch` — so
@@ -1620,25 +1602,16 @@ class Federation:
         process replies with the states the call touched, which the
         front end logs (:meth:`ReplicaManager.sync_partition`).
         """
-        if self.transport_mode == "socket" and envelope is not None:
+        if self.transport_mode == "socket":
             return self._wire_dispatch(node, ref, envelope, partition)
-        return self._local_dispatch(
-            node, ref, operation, args, kwargs, context, partition
-        )
+        return self._local_dispatch(node, ref, envelope.request, partition)
 
     def _local_dispatch(
-        self,
-        node: Node,
-        ref: ObjectRefData,
-        operation: str,
-        args: tuple,
-        kwargs: Optional[dict],
-        context: Optional[Dict[str, Any]],
-        partition: Optional[str] = None,
+        self, node: Node, ref: ObjectRefData, request: Request, partition: str
     ):
         """The node hop: dead-node classification + dispatch + replication.
 
-        The replication of a named call runs *inside* the node guard: a
+        The replication of the call runs *inside* the node guard: a
         kill that drained to zero has therefore already captured every
         completed effect in the standby copies (or shipped it through
         the replication log) — there is no window where an effect exists
@@ -1656,11 +1629,13 @@ class Federation:
         sync is never skipped."""
         self._admit(node)
         try:
-            track = partition is not None and self.replicas is not None
-            before = node.services.bus.mutations if track else 0
-            value = node.invoke(ref, operation, args, kwargs or {}, context)
-            if track:
-                self.replicas.sync_partition(partition, node.touched_states(before))
+            replicas = self.replicas
+            before = node.services.bus.mutations if replicas is not None else 0
+            value = node.invoke(
+                ref, request.operation, request.args, request.kwargs, request.context
+            )
+            if replicas is not None:
+                replicas.sync_partition(partition, node.touched_states(before))
             return value
         finally:
             self._release(node)
@@ -1675,11 +1650,7 @@ class Federation:
         return None
 
     def _wire_dispatch(
-        self,
-        node: Node,
-        ref: ObjectRefData,
-        envelope: Envelope,
-        partition: Optional[str] = None,
+        self, node: Node, ref: ObjectRefData, envelope: Envelope, partition: str
     ):
         """Send one routed hop over the wire to ``node``'s listener.
 
@@ -1727,21 +1698,9 @@ class Federation:
         then re-marshals the hydrated result for the return frame.
         """
         request = envelope.request
-        type_name = (envelope.label or ".").rsplit(".", 1)[0]
-        ref = ObjectRefData(request.object_id, type_name)
-        partition = (
-            ShardedNamingService.partition_key(envelope.binding)
-            if envelope.binding
-            else None
-        )
+        ref = ObjectRefData(request.object_id, envelope.label.rsplit(".", 1)[0])
         result = self._local_dispatch(
-            node,
-            ref,
-            request.operation,
-            tuple(request.args),
-            dict(request.kwargs),
-            dict(request.context),
-            partition,
+            node, ref, request, ShardedNamingService.partition_key(envelope.binding)
         )
         return marshal(result, self._proxy_ref, root="result")
 
@@ -1755,7 +1714,7 @@ class Federation:
             endpoint = "tcp://127.0.0.1:0"
         server = WireServer(
             node=node.name,
-            request_handler=lambda env, n=node: self._serve_wire_request(n, env),
+            request_handler=partial(self._serve_wire_request, node),
             endpoint=endpoint,
         )
         server.start()
@@ -1783,37 +1742,41 @@ class Federation:
 
     def _envelope(
         self,
-        node: Optional[Node],
-        ref: Optional[ObjectRefData],
+        binding: str,
         operation: str,
         args: tuple,
         kwargs: Optional[dict],
-        context: Optional[Dict[str, Any]],
+        context,
         qos: QoS,
-        binding: Optional[str] = None,
+        resolve: bool = False,
+        chain: Optional[InterceptorChain] = None,
     ) -> Tuple[Envelope, Callable[[Envelope], Any]]:
         """Build one routed hop: envelope + its chain-wrapped handler.
 
-        With a ``binding`` (the federation name the caller routed by),
-        the handler enters the migration gate and resolves the owner on
-        *every* delivery attempt — so queued envelopes and QoS retries
-        land on the current primary even if the shard migrated or failed
-        over since submission — and, on success, replicates
-        the touched servants' state to the partition's standbys.  The
-        handler also sets the envelope's target and label, so a
-        synchronous caller routing by name passes no ``node``/``ref``
-        and the call costs one ring lookup per attempt.  Asynchronous
-        and oneway callers still resolve up front: an unbound name or a
-        failed login then raises at the call site, not later on a
-        delivery thread where nobody may read the future.
+        The handler enters the migration gate and resolves ``binding``
+        (the federation name the caller routed by) on *every* delivery
+        attempt — so queued envelopes and QoS retries land on the
+        current primary even if the shard migrated or failed over since
+        submission — sets the envelope's target and label, runs
+        ``chain`` (the federation chain by default) around the owner's
+        dispatch and, on success, replicates the touched servants' state
+        to the partition's standbys.  A synchronous caller therefore
+        pays one ring lookup per attempt.  With ``resolve`` the name is
+        also resolved here, at the call site (asynchronous, oneway and
+        pipelined calls): an unbound name or a failed login then raises
+        where the caller can see it, not later on a delivery thread
+        where nobody may read the future.
 
         ``context`` may be a *provider* ``callable(node) -> dict`` (how
         :class:`FederationClient` attaches credentials): it is re-invoked
         per attempt against the resolved owner, because a security
         token minted by the old primary means nothing to the node that
-        took over its shard.
+        took over its shard.  A missing static context defaults to the
+        current delivery context, so nested cross-node calls made by
+        servants propagate transaction ids and credentials without
+        manual plumbing.
         """
-        if qos is DEFAULT_QOS and binding is not None:
+        if qos is DEFAULT_QOS:
             # spec-declared QoS defaults — the binding's, else the
             # client's: they apply only when the caller did not state a
             # policy (identity check — an explicit QoS() equal to the
@@ -1822,11 +1785,8 @@ class Federation:
             if declared is not None:
                 qos = declared
         provider = context if callable(context) else None
-        if provider is not None:
-            context_for = lambda n: provider(n) or {}  # noqa: E731
-        else:
-            static_context = self._inherit(context)
-            context_for = lambda n: static_context  # noqa: E731
+        if provider is None and context is None:
+            context = current_delivery_context() or None
         tracer = self.observability.tracer
         # captured on the caller's thread at build time: the active
         # span (a harness root span, or the bus span of the dispatch
@@ -1834,54 +1794,35 @@ class Federation:
         # Inherited delivery contexts already carry the trace key.
         trace_headers = tracer.current_headers() if tracer.enabled else None
         request = Request(
-            object_id=None if ref is None else ref.object_id,
+            object_id=None,
             operation=operation,
             args=list(args),
             kwargs=dict(kwargs or {}),
-            # a routed hop rebuilds its context per attempt, in the
-            # handler; a caller that resolved up front (async, oneway)
-            # builds it here too, so a failed login raises at its site
-            context={} if node is None else dict(context_for(node) or {}),
         )
+        envelope = Envelope(request=request, qos=qos, binding=binding)
+        if resolve:
+            node, ref = self.resolve(binding)
+            envelope.target = node.name
+            envelope.label = f"{ref.type_name}.{operation}"
+            request.object_id = ref.object_id
+            request.context = dict((provider(node) if provider else context) or {})
         if trace_headers is not None:
             request.context[TRACE_KEY] = trace_headers
-        envelope = Envelope(
-            request=request,
-            qos=qos,
-            target=None if node is None else node.name,
-            label=None if ref is None else f"{ref.type_name}.{operation}",
-            binding=binding,
-        )
-
-        if binding is None:
-
-            def handler(env: Envelope):
-                # the dispatch reads the *envelope's* context, not the
-                # provider's raw dict: chain elements (tracing) re-stamp
-                # per-attempt keys into it on the way through
-                return self.chain.execute(
-                    env,
-                    lambda: self._dispatch(
-                        node, ref, operation, args, kwargs,
-                        env.request.context, envelope=env,
-                    ),
-                )
-
-            return envelope, handler
-
         partition = ShardedNamingService.partition_key(binding)
-        partitions = [partition]
         gate = self._gate
+        execute = (chain or self.chain).execute
 
         def handler(env: Envelope):
-            gate._enter(partitions)
+            gate._enter(partition)
             try:
                 owner, live_ref = self.resolve(binding)
                 env.target = owner.name
                 env.label = f"{live_ref.type_name}.{operation}"
                 env.request.object_id = live_ref.object_id
                 try:
-                    attempt_context = dict(context_for(owner) or {})
+                    attempt_context = dict(
+                        (provider(owner) if provider else context) or {}
+                    )
                 except NodeDownError as exc:
                     # minting a token on a dead owner (a worker node's
                     # login round trip) fails before the chain runs: it
@@ -1889,75 +1830,37 @@ class Federation:
                     # budget's re-delivery lands on the promoted owner
                     self._node_down(exc)
                     raise
-                env.request.context = attempt_context
                 if trace_headers is not None:
-                    attempt_context[TRACE_KEY] = trace_headers
+                    # the hop's parent travels on the envelope: the
+                    # caller's span, a failed attempt's hop, or the
+                    # batch hop that carries a pipelined member
+                    attempt_context[TRACE_KEY] = env.request.context[TRACE_KEY]
                 # the dispatch reads the *envelope's* context: chain
                 # elements (tracing) re-stamp per-attempt keys into it
-                return self.chain.execute(
-                    env,
-                    lambda: self._dispatch(
-                        owner, live_ref, operation, args, kwargs,
-                        env.request.context, partition, envelope=env,
-                    ),
+                env.request.context = attempt_context
+                return execute(
+                    env, partial(self._dispatch, owner, live_ref, env, partition)
                 )
             finally:
-                gate._exit(partitions)
+                gate._exit(partition)
 
         return envelope, handler
 
     def invoke(
         self,
-        node: Optional[Node],
-        ref: Optional[ObjectRefData],
+        name: str,
         operation: str,
         args: tuple = (),
         kwargs: Optional[dict] = None,
-        context: Optional[Dict[str, Any]] = None,
+        context=None,
         qos: QoS = DEFAULT_QOS,
-        binding: Optional[str] = None,
     ):
-        """Route one request and execute it, metered: on ``node``, or —
-        with a ``binding`` — on the name's owner, resolved per attempt
-        (``node`` and ``ref`` may then be None)."""
+        """Route one request to the owner of ``name`` and execute it,
+        metered, on the caller's thread."""
         envelope, handler = self._envelope(
-            node, ref, operation, args, kwargs, context, qos, binding
+            name, operation, args, kwargs, context, qos
         )
         return self.transport.submit(envelope, handler).raw()
-
-    def invoke_async(
-        self,
-        node: Optional[Node],
-        ref: Optional[ObjectRefData],
-        operation: str,
-        args: tuple = (),
-        kwargs: Optional[dict] = None,
-        context: Optional[Dict[str, Any]] = None,
-        qos: QoS = DEFAULT_QOS,
-        binding: Optional[str] = None,
-    ) -> ReplyFuture:
-        """Route one request asynchronously; returns the reply future."""
-        envelope, handler = self._envelope(
-            node, ref, operation, args, kwargs, context, qos, binding
-        )
-        return self._submission_transport().submit(envelope, handler)
-
-    def oneway(
-        self,
-        node: Optional[Node],
-        ref: Optional[ObjectRefData],
-        operation: str,
-        args: tuple = (),
-        kwargs: Optional[dict] = None,
-        context: Optional[Dict[str, Any]] = None,
-        qos: QoS = ONEWAY_QOS,
-        binding: Optional[str] = None,
-    ) -> None:
-        """Fire-and-forget delivery: at most one servant effect, no reply."""
-        envelope, handler = self._envelope(
-            node, ref, operation, args, kwargs, context, qos, binding
-        )
-        self._submission_transport().submit(envelope, handler)
 
     def call(
         self,
@@ -1969,33 +1872,37 @@ class Federation:
         **kwargs,
     ):
         """Invoke ``operation`` on the owner node of ``name``."""
-        return self.invoke(None, None, operation, args, kwargs, context, qos, name)
+        return self.invoke(name, operation, args, kwargs, context, qos)
 
     def call_async(
         self,
         name: str,
         operation: str,
         *args,
-        context: Optional[Dict[str, Any]] = None,
+        context=None,
         qos: QoS = DEFAULT_QOS,
         **kwargs,
     ) -> ReplyFuture:
-        node, ref = self.resolve(name)
-        return self.invoke_async(
-            node, ref, operation, args, kwargs, context, qos, name
+        """Route one request asynchronously; returns the reply future."""
+        envelope, handler = self._envelope(
+            name, operation, args, kwargs, context, qos, resolve=True
         )
+        return self._submission_transport().submit(envelope, handler)
 
     def call_oneway(
         self,
         name: str,
         operation: str,
         *args,
-        context: Optional[Dict[str, Any]] = None,
+        context=None,
         qos: QoS = ONEWAY_QOS,
         **kwargs,
     ) -> None:
-        node, ref = self.resolve(name)
-        self.oneway(node, ref, operation, args, kwargs, context, qos, name)
+        """Fire-and-forget delivery: at most one servant effect, no reply."""
+        envelope, handler = self._envelope(
+            name, operation, args, kwargs, context, qos, resolve=True
+        )
+        self._submission_transport().submit(envelope, handler)
 
     def pipeline(
         self,
@@ -2004,31 +1911,32 @@ class Federation:
         qos: QoS = DEFAULT_QOS,
     ) -> "InvocationPipeline":
         """A batching client: consecutive same-node calls share one hop."""
-        context_for = None
-        if context is not None:
-            snapshot = dict(context)
-            context_for = lambda node: snapshot  # noqa: E731 - tiny closure
         return InvocationPipeline(
-            self, max_batch=max_batch, context_for=context_for, qos=qos
+            self,
+            max_batch=max_batch,
+            context=None if context is None else dict(context),
+            qos=qos,
         )
 
-    # -- batched delivery ----------------------------------------------------------
+    def _submit_batch(self, members: List[Tuple[Envelope, Callable]], qos: QoS) -> None:
+        """One envelope for consecutive pipelined calls to one node.
 
-    def _submit_batch(self, node: Node, items: List["_PipelinedCall"], qos: QoS) -> None:
-        """One envelope for a whole node-batch: the chain (fault check,
-        hop latency, routing) runs once, then every member call executes
-        through the owner node's dispatcher — submitted first, awaited
-        second, so calls against different servants overlap.
-
-        Elastic interaction: the batch holds its member partitions in
-        the migration gate and the node's flight count (so freezes and
-        kill-drains wait for it), but the target node is fixed at flush
-        time — a batch never re-routes after a failover; use the
-        per-call paths when membership churn must be transparent."""
+        The batch envelope runs the federation chain once — fault check,
+        hop latency, routing, and one trace span that lists the members.
+        Its terminal then delivers each member, in program order, through
+        the transport's QoS retry loop with the member's own routed
+        handler (:meth:`_envelope`): gate, per-attempt owner resolve,
+        admission, dispatch and replication, wrapped only in the
+        per-call reactions (metrics, failover).  Members dispatch on the
+        thread delivering the batch, as nested calls do — no pool
+        handoff per member.  A fault on the batch envelope itself fails
+        every member: none of them ran.
+        """
+        target = members[0][0].target
         request = Request(
             object_id="<pipeline>",
             operation="<batch>",
-            args=[item.label for item in items],
+            args=[member.label for member, _handler in members],
             kwargs={},
         )
         tracer = self.observability.tracer
@@ -2036,135 +1944,31 @@ class Federation:
             headers = tracer.current_headers()
             if headers is not None:
                 request.context[TRACE_KEY] = headers
-        envelope = Envelope(request=request, qos=qos, target=node.name, label=None)
-
-        partitions = sorted(
-            {
-                ShardedNamingService.partition_key(item.name)
-                for item in items
-                if item.name is not None
-            }
-        )
+        envelope = Envelope(request=request, qos=qos, target=target)
 
         def terminal():
             with self._route_lock:
-                self.batches[node.name] = self.batches.get(node.name, 0) + 1
-            with contextlib.ExitStack() as stack:
-                # the batch holds its members' partitions in the
-                # migration gate (entered atomically: frozen partitions
-                # it does not already hold block the whole entry) and
-                # its target nodes' flight counts for its whole
-                # lifetime: a freeze waits for it, a kill drains it.  Members re-resolve their bindings at
-                # delivery time, so a batch queued across a migration or
-                # promoted failover executes against the current owners
-                # (the flush-time grouping only fixes which calls shared
-                # this envelope's hop).
-                stack.enter_context(self._gate.entered_many(partitions))
-                return self._run_batch(node, items, stack)
+                self.batches[target] = self.batches.get(target, 0) + 1
+            # the trace element re-stamped the batch hop into the context
+            hop = request.context.get(TRACE_KEY)
+            with inline_dispatch():
+                for member, handler in members:
+                    if hop is not None and TRACE_KEY in member.request.context:
+                        member.request.context[TRACE_KEY] = hop
+                    self.transport._deliver(member, handler, member.reply_to)
+            return len(members)
 
-        def handler(env: Envelope):
-            return self.chain.execute(env, terminal)
+        batch = self._submission_transport().submit(
+            envelope, lambda env: self.chain.execute(env, terminal)
+        )
 
-        batch_future = self._submission_transport().submit(envelope, handler)
+        def fail_members(done: ReplyFuture) -> None:
+            failure = done.exception()
+            if failure is not None:
+                for member, _handler in members:
+                    member.reply_to._fail(failure)
 
-        def propagate_batch_failure(done: ReplyFuture) -> None:
-            # a transport fault killed the whole batch before any member
-            # ran (the terminal completes members itself): fail them all
-            if done._exception is not None:
-                for item in items:
-                    item.future._fail(done._exception)
-
-        batch_future.add_done_callback(propagate_batch_failure)
-
-    def _run_batch(
-        self,
-        node: Node,
-        items: List["_PipelinedCall"],
-        stack: "contextlib.ExitStack",
-    ) -> int:
-        """Dispatch and await one node-batch's members.
-
-        Each member re-resolves its binding first (the gate is already
-        held), so deliveries land on the *current* owner even if the
-        shard moved since the flush; every distinct target node is held
-        in the flight guard for the batch's remaining lifetime, so kill
-        drains cover the members.  A dead target raises the pre-effect
-        :class:`NodeDownError` for the whole batch — the failover
-        element promotes and the batch envelope's retry budget re-runs
-        this terminal against the re-resolved owners.
-        """
-        targets: List[Optional[Tuple[Node, ObjectRefData]]] = []
-        guarded: set = set()
-        for item in items:
-            if item.name is None:
-                owner, ref = node, item.ref
-            else:
-                try:
-                    owner, ref = self.resolve(item.name)
-                except ReproError as exc:
-                    item.future._fail(exc)
-                    targets.append(None)
-                    continue
-            if owner.name not in guarded:
-                # raises NodeDownError (pre-effect) if the target died
-                self._admit(owner)
-                stack.callback(self._release, owner)
-                guarded.add(owner.name)
-            targets.append((owner, ref))
-        dispatched = []
-        last_by_servant: Dict[str, Any] = {}
-        for item, target in zip(items, targets):
-            if target is None:
-                dispatched.append(None)
-                continue
-            owner, ref = target
-            # same-servant members must execute in submission order:
-            # the pool serializes them on the servant lock but does
-            # not order the acquisitions, so gate on the previous
-            # same-servant dispatch before submitting the next
-            previous = last_by_servant.get(ref.object_id)
-            if previous is not None:
-                previous.exception()  # wait; outcome consumed below
-            started = time.perf_counter()
-            mutations_before = owner.services.bus.mutations
-            try:
-                pending = owner.invoke_async(
-                    ref, item.operation, item.args, item.kwargs, item.context
-                )
-            except Exception as exc:  # noqa: BLE001 - routed to the future
-                self.metrics.record(
-                    item.label, owner.name, time.perf_counter() - started, error=True
-                )
-                item.future._fail(exc)
-                dispatched.append(None)
-                continue
-            last_by_servant[ref.object_id] = pending
-            dispatched.append((pending, started, owner, mutations_before))
-        for item, entry in zip(items, dispatched):
-            if entry is None:
-                continue
-            pending, started, owner, mutations_before = entry
-            # each member's latency runs from its own dispatch, not
-            # from the batch start — comparable to per-call metering
-            try:
-                value = pending.result()
-            except Exception as exc:  # noqa: BLE001 - routed to the future
-                self.metrics.record(
-                    item.label, owner.name, time.perf_counter() - started, error=True
-                )
-                item.future._fail(exc)
-                continue
-            self.metrics.record(
-                item.label, owner.name, time.perf_counter() - started
-            )
-            if self.replicas is not None and item.name is not None:
-                # same mutation narrowing as the per-call path
-                self.replicas.sync_partition(
-                    ShardedNamingService.partition_key(item.name),
-                    owner.touched_states(mutations_before),
-                )
-            item.future._complete(value)
-        return len(items)
+        batch.add_done_callback(fail_members)
 
     # -- reporting ------------------------------------------------------------------
 
@@ -2197,105 +2001,69 @@ class Federation:
         return stats
 
 
-class _PipelinedCall:
-    """One queued member of an :class:`InvocationPipeline` batch.
-
-    Members travel inside the batch envelope, but each future still
-    carries its own envelope (request payload + the pipeline's QoS) so
-    ``future.result()`` honours the configured timeout and callers can
-    introspect what they sent.
-    """
-
-    __slots__ = (
-        "node", "ref", "name", "operation", "args", "kwargs", "context",
-        "label", "future",
-    )
-
-    def __init__(self, node, ref, operation, args, kwargs, context, qos, name=None):
-        self.node = node
-        self.ref = ref
-        self.name = name
-        self.operation = operation
-        self.args = args
-        self.kwargs = kwargs
-        self.context = context
-        self.label = f"{ref.type_name}.{operation}"
-        envelope = Envelope(
-            request=Request(
-                object_id=ref.object_id,
-                operation=operation,
-                args=list(args),
-                kwargs=dict(kwargs),
-                context=dict(context or {}),
-            ),
-            qos=qos,
-            target=node.name,
-            label=self.label,
-        )
-        self.future = ReplyFuture(envelope)
-
-
 class InvocationPipeline:
     """Client-side batching of consecutive same-node calls.
 
-    ``call`` queues an invocation and returns its future immediately; a
-    flush (explicit, on leaving the ``with`` block, or automatic once
-    ``max_batch`` calls are queued) groups *consecutive* calls to the
-    same node and ships each group as one envelope — one fault-injection
-    site check and one hop latency per group, so a latency-bound client
-    pays transport cost per batch instead of per call.
+    ``call`` builds an ordinary routed call — the same envelope and
+    handler as :meth:`Federation.call_async`, its name resolved at the
+    call site — and returns its future immediately; a flush (explicit,
+    on leaving the ``with`` block, or automatic once ``max_batch`` calls
+    are queued) groups *consecutive* calls to the same node and ships
+    each group as one envelope — one fault-injection site check and one
+    hop latency per group, so a latency-bound client pays transport cost
+    per batch instead of per call.
 
-    Ordering: within one batch, calls against the *same servant* execute
-    in program order; beyond that — across batches, across flushes, and
-    for different servants inside a batch — deliveries may interleave
-    freely, like independent network flows.  Callers with cross-batch or
-    cross-servant ordering dependencies must await the earlier future
-    (or use synchronous calls) before issuing the dependent call.
+    Ordering: the members of one batch execute one after another, in
+    program order; across batches and flushes, deliveries may interleave
+    freely, like independent network flows.  Callers with cross-batch
+    ordering dependencies must await the earlier future (or use
+    synchronous calls) before issuing the dependent call.
 
-    Elastic caveat: a batch's target node is fixed when it flushes —
-    shard migrations wait for in-flight batches (the batch holds the
-    migration gate and the node's flight count), but a batch caught by
-    a node kill fails its members rather than re-routing them.
+    Elastic behaviour: each member re-resolves its name per attempt and
+    retries pre-effect faults under the pipeline's QoS, exactly as an
+    asynchronous call does — a batch queued across a migration, or
+    caught by a node kill with a retry budget, lands its members on the
+    current owners.
     """
 
     def __init__(
         self,
         federation: Federation,
         max_batch: int = 8,
-        context_for: Optional[Callable[[Node], Optional[Dict[str, Any]]]] = None,
+        context=None,
         qos: QoS = DEFAULT_QOS,
     ):
         if max_batch < 1:
             raise FederationError(f"pipeline batch must be >= 1, got {max_batch}")
         self.federation = federation
         self.max_batch = max_batch
-        self.context_for = context_for
+        #: a static context dict, or a provider ``callable(node) -> dict``
+        self.context = context
         self.qos = qos
-        self._pending: List[_PipelinedCall] = []
+        self._pending: List[Tuple[Envelope, Callable]] = []
 
     def call(self, name: str, operation: str, *args, **kwargs) -> ReplyFuture:
-        node, ref = self.federation.resolve(name)
-        context = self.context_for(node) if self.context_for is not None else None
-        context = Federation._inherit(context)
-        item = _PipelinedCall(
-            node, ref, operation, args, kwargs, context, self.qos, name
+        envelope, handler = self.federation._envelope(
+            name, operation, args, kwargs, self.context, self.qos,
+            resolve=True, chain=self.federation._member_chain,
         )
-        self._pending.append(item)
+        future = envelope.reply_to = ReplyFuture(envelope)
+        self._pending.append((envelope, handler))
         if len(self._pending) >= self.max_batch:
             self.flush()
-        return item.future
+        return future
 
     def flush(self) -> None:
         """Ship every queued call, grouped by consecutive target node."""
         pending, self._pending = self._pending, []
-        batch: List[_PipelinedCall] = []
-        for item in pending:
-            if batch and item.node is not batch[0].node:
-                self.federation._submit_batch(batch[0].node, batch, self.qos)
+        batch: List[Tuple[Envelope, Callable]] = []
+        for member in pending:
+            if batch and member[0].target != batch[0][0].target:
+                self.federation._submit_batch(batch, self.qos)
                 batch = []
-            batch.append(item)
+            batch.append(member)
         if batch:
-            self.federation._submit_batch(batch[0].node, batch, self.qos)
+            self.federation._submit_batch(batch, self.qos)
 
     def __enter__(self) -> "InvocationPipeline":
         return self
@@ -2344,33 +2112,26 @@ class FederationClient:
         self, name: str, operation: str, *args, qos: Optional[QoS] = None, **kwargs
     ):
         return self.federation.invoke(
-            None, None, operation, args, kwargs,
-            self._context_for, qos or self.default_qos, name,
+            name, operation, args, kwargs, self._context_for, qos or self.default_qos
         )
 
     def call_async(
         self, name: str, operation: str, *args, qos: Optional[QoS] = None, **kwargs
     ) -> ReplyFuture:
-        node, ref = self.federation.resolve(name)
-        return self.federation.invoke_async(
-            node, ref, operation, args, kwargs,
-            self._context_for, qos or self.default_qos, name,
+        return self.federation.call_async(
+            name, operation, *args,
+            context=self._context_for, qos=qos or self.default_qos, **kwargs,
         )
 
     def oneway(
         self, name: str, operation: str, *args, qos: QoS = ONEWAY_QOS, **kwargs
     ) -> None:
-        node, ref = self.federation.resolve(name)
-        self.federation.oneway(
-            node, ref, operation, args, kwargs,
-            self._context_for, qos, name,
+        self.federation.call_oneway(
+            name, operation, *args, context=self._context_for, qos=qos, **kwargs
         )
 
     def pipeline(self, max_batch: int = 8, qos: QoS = DEFAULT_QOS) -> InvocationPipeline:
         """A batching view of this client (credentials attached per node)."""
         return InvocationPipeline(
-            self.federation,
-            max_batch=max_batch,
-            context_for=self._context_for,
-            qos=qos,
+            self.federation, max_batch=max_batch, context=self._context_for, qos=qos
         )

@@ -87,10 +87,10 @@ class RunConfig:
     window: int = 4
     #: delivery threads of the federation's queued (async) transport
     delivery_workers: int = 2
-    #: how routed hops travel: "inproc" (caller thread), "queued"
-    #: (delivery threads), or "socket" (every hop crosses a real wire
-    #: connection to the owner node's listener).  The default never
-    #: enters the spec digest, so inproc runs hash as they always did
+    #: how routed hops travel: "inproc" (a direct node call) or
+    #: "socket" (every hop crosses a real wire connection to the owner
+    #: node's listener).  The default never enters the spec digest, so
+    #: inproc runs hash as they always did
     transport: str = "inproc"
     #: arm the scenario's churn plan (node kill / join / retire mid-run)
     churn: bool = False

@@ -245,7 +245,7 @@ class Node:
 
     # -- request entry point -----------------------------------------------------
 
-    def wire_reply(self, response, partition: Optional[str] = None):
+    def wire_reply(self, response, partition: str):
         """A wire hop's reply, client side: the hydrated result.
 
         The serving side already replicated the call's effect (it runs
@@ -256,19 +256,19 @@ class Node:
         # hydrate through the owner's orb, as an in-process hop would
         return self.services.orb._from_wire(response.result)
 
-    def _runner(
+    def invoke(
         self,
         ref: ObjectRefData,
         operation: str,
         args: tuple,
         kwargs: dict,
-        context: Optional[Dict[str, Any]],
+        context: Optional[Dict[str, Any]] = None,
     ):
-        """The executable unit both invocation styles dispatch.
+        """Execute a request against a local servant through the dispatcher.
 
         The caller-supplied ``context`` (credentials, transaction hints)
         is re-established on the executing thread before the ORB builds
-        the request, so implicit context survives the thread hop; it is
+        the request, so implicit context survives a pool handoff; it is
         also published as the thread's *delivery context*, so outbound
         calls the servant makes (cross-node nested dispatch) inherit it.
         """
@@ -290,38 +290,7 @@ class Node:
             finally:
                 deliveries.pop()
 
-        return run
-
-    def invoke(
-        self,
-        ref: ObjectRefData,
-        operation: str,
-        args: tuple,
-        kwargs: dict,
-        context: Optional[Dict[str, Any]] = None,
-    ):
-        """Execute a request against a local servant through the dispatcher."""
-        return self.dispatcher.dispatch(
-            ref.object_id, self._runner(ref, operation, args, kwargs, context)
-        )
-
-    def invoke_async(
-        self,
-        ref: ObjectRefData,
-        operation: str,
-        args: tuple,
-        kwargs: dict,
-        context: Optional[Dict[str, Any]] = None,
-    ):
-        """Dispatch without blocking; returns a ``concurrent.futures.Future``.
-
-        With a concurrent dispatcher the request lands in the node's
-        pool (per-servant serialization still applies), so a pipelined
-        batch overlaps the work of calls against different servants.
-        """
-        return self.dispatcher.submit(
-            ref.object_id, self._runner(ref, operation, args, kwargs, context)
-        )
+        return self.dispatcher.dispatch(ref.object_id, run)
 
     # -- lifecycle ---------------------------------------------------------------
 

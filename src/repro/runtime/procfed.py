@@ -36,9 +36,12 @@ element, the ring successor promotes its own caught-up copies (CONTROL
 *process* and killing an in-process :class:`Node` are the same
 observable event.
 
-Known limits (docs/TRANSPORTS.md): worker-side fault sites, pipelined
-batches and live join/retire are in-process-federation features; the
-front end injects faults client-side only.
+Pipelined batches work as in process: each member is an ordinary
+routed call and crosses the wire on its own round trip.
+
+Known limits (docs/TRANSPORTS.md): worker-side fault sites and live
+join/retire are in-process-federation features; the front end injects
+faults client-side only.
 """
 
 from __future__ import annotations
@@ -300,7 +303,7 @@ class WorkerNode:
 
     # -- the routed hop --------------------------------------------------------
 
-    def wire_reply(self, response, partition: Optional[str] = None):
+    def wire_reply(self, response, partition: str):
         """The worker's reply, client side: log the states it carries to
         ``partition``'s replication log, return the wire result."""
         if response.is_error:
@@ -308,7 +311,7 @@ class WorkerNode:
         # a oneway whose dispatch failed acks with no reply: sync it all
         value, states = response.result or (None, None)
         replicas = self.federation.replicas
-        if partition is not None and replicas is not None:
+        if replicas is not None:
             replicas.sync_partition(partition, states)
         return value
 
@@ -384,9 +387,9 @@ class ProcessFederation(Federation):
     the :class:`~repro.deploy.DeploymentCompiler` (the application is
     compiled once and replayed into each worker over the wire).  After
     that, every call is ``Federation``'s own: the interceptor chain,
-    QoS, failover and clients, with each hop crossing a pooled socket
-    connection.  What this class adds is the process lifecycle: spawn,
-    announce, SIGKILL, worker stats, shutdown.
+    QoS, failover, clients and pipelines, with each hop crossing a
+    pooled socket connection.  What this class adds is the process
+    lifecycle: spawn, announce, SIGKILL, worker stats, shutdown.
     """
 
     def __init__(
@@ -552,12 +555,11 @@ class ProcessFederation(Federation):
 
     def _in_process_only(self, *args, **kwargs):
         raise FederationError(
-            "live join/retire and pipelined batches are in-process "
-            "federation features: a worker federation's members are "
-            "fixed at start()"
+            "live join/retire are in-process federation features: a "
+            "worker federation's members are fixed at start()"
         )
 
-    join = retire = _submit_batch = _in_process_only
+    join = retire = _in_process_only
 
     # -- introspection --------------------------------------------------------
 

@@ -1,15 +1,16 @@
 """Digest-determinism regression matrix.
 
-Every registered scenario, on both local transports, at two seeds:
+Every registered scenario, on the in-process transport, at two seeds:
 two sequential runs must produce byte-identical digests.  This is the
 repo's reproducibility contract in one table — any change that makes a
 seeded sequential run depend on wall clock, hash randomization, thread
 interleaving, or dict order fails here with the scenario named.
 
-The queued transport is pinned to one delivery worker and a zero
-async window: deliveries then retire strictly in issue order, so even
-the async scenario's servant-effect order is a pure function of the
-seed (more workers would race replies against each other, which is
+Asynchronous calls, oneways and pipelined batches still travel on
+delivery threads; those are pinned to one delivery worker and a zero
+async window, so deliveries retire strictly in issue order and even the
+async scenario's servant-effect order is a pure function of the seed
+(more workers would race replies against each other, which is
 legitimate concurrency, not nondeterminism — but it is not *this*
 contract).
 """
@@ -51,7 +52,7 @@ def _digest(name: str, transport: str, seed: int) -> str:
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-@pytest.mark.parametrize("transport", ["inproc", "queued"])
+@pytest.mark.parametrize("transport", ["inproc"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_sequential_digest_is_stable(name, transport, seed):
     assert _digest(name, transport, seed) == _digest(name, transport, seed)

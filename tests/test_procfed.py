@@ -257,6 +257,32 @@ class TestOneways:
         assert fed.replicas.take("branch-3", standby)[name].balance == 1003.0
 
 
+class TestPipelines:
+    def test_client_pipeline_lands_and_standbys_track_the_owner(self, fed, client):
+        """A pipelined burst of deposits on worker processes: every
+        member crosses the wire, lands, and is logged, so each standby
+        worker's copies equal the owner's state afterwards."""
+        partition = "branch-5"
+        names = [f"{partition}/Account/{i}" for i in range(4)]
+        before = {name: client.call(name, "getBalance") for name in names}
+        with client.pipeline(max_batch=len(names)) as pipe:
+            futures = [pipe.call(name, "deposit", 10) for name in names]
+        assert [f.result(10000) for f in futures] == [before[n] + 10 for n in names]
+        owner = fed.node(fed.naming.owner_of(partition))
+        primary = {
+            name: state
+            for name, _type, state, _version in owner.snapshot(
+                fed.naming.shard(owner.name).list(partition)
+            )
+        }
+        assert {name: primary[name]["balance"] for name in names} == {
+            name: before[name] + 10 for name in names
+        }
+        for standby in fed.replicas._groups[partition].standbys:
+            copies = fed.replicas.take(partition, standby)
+            assert {name: vars(copy) for name, copy in copies.items()} == primary
+
+
 class TestUnboundNames:
     @pytest.mark.parametrize("style", ["call", "call_async", "call_oneway"])
     def test_unbound_name_raises_at_once(self, fed, style):

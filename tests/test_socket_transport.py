@@ -478,6 +478,39 @@ class TestSocketFederation:
         finally:
             federation.shutdown()
 
+    def test_joined_node_serves_over_its_own_listener(self):
+        """A node joining a live socket-mode federation gets a listener,
+        as a seed node does: the partitions it took over answer instead
+        of raising NodeDownError (no wire endpoint)."""
+        federation, names = build(nodes=2, partitions=16)
+        try:
+            federation.join("node-2", deploy=lambda node: node.host(None, MODULE))
+            moved = [n for n in names if federation.naming.owner_of(n) == "node-2"]
+            assert moved
+            assert "node-2" in federation._endpoints
+            for name in moved:
+                assert federation.call(name, "bump", 1.0) == 101.0
+        finally:
+            federation.shutdown()
+
+    def test_pipelined_members_each_cross_the_wire(self):
+        """A pipelined batch shares one hop through the chain, but every
+        member is a routed call: one wire round trip each."""
+        federation, names = build()
+        try:
+            owners = [federation.naming.owner_of(name) for name in names]
+            target = max(set(owners), key=owners.count)
+            group = [n for n, owner in zip(names, owners) if owner == target]
+            before = federation.stats()["transport"]["roundtrips"]
+            with federation.pipeline(max_batch=len(group)) as pipe:
+                futures = [pipe.call(name, "bump", 1.0) for name in group]
+            assert [f.result(timeout_ms=5000) for f in futures] == [101.0] * len(group)
+            stats = federation.stats()
+            assert stats["transport"]["roundtrips"] == before + len(group)
+            assert stats["batches"] == {target: 1}
+        finally:
+            federation.shutdown()
+
     def test_retired_node_endpoint_is_withdrawn(self):
         federation, names = build(partitions=6)
         try:

@@ -529,6 +529,60 @@ class TestFederationPipeline:
         finally:
             federation.shutdown()
 
+    def test_batch_records_one_metric_sample_per_member(self):
+        federation, servants = self._federation()
+        try:
+            names = sorted(servants)
+            target_node = federation.node_for(names[0])
+            group = [n for n in names if federation.node_for(n) is target_node]
+            with federation.pipeline(max_batch=len(group)) as pipe:
+                futures = [pipe.call(name, "add", 1) for name in group]
+            for future in futures:
+                assert future.result(timeout_ms=5000) == 1
+            assert sum(federation.batches.values()) == 1
+            assert federation.metrics.total_requests() == len(group)
+        finally:
+            federation.shutdown()
+
+    def test_same_servant_members_run_in_program_order(self):
+        from repro.runtime import Federation
+
+        federation = Federation(seed=3)
+        node = federation.add_node("node-0", workers=4)
+        seen = []
+
+        class Log:
+            def note(self, i):
+                seen.append(i)
+                return i
+
+        names = ["a/Log/0", "b/Log/0"]
+        for name in names:
+            node.bind(name, Log())
+        try:
+            with federation.pipeline(max_batch=32) as pipe:
+                futures = [pipe.call(names[i % 2], "note", i) for i in range(32)]
+            assert [f.result(timeout_ms=5000) for f in futures] == list(range(32))
+            assert seen == list(range(32))
+        finally:
+            federation.shutdown()
+
+    def test_member_retries_a_pre_effect_fault_under_the_pipeline_qos(self):
+        """A bus.deliver fault (raised before the servant runs) is
+        re-delivered under the pipeline's retry budget, as an async call's
+        would be: the member lands exactly once."""
+        federation, servants = self._federation()
+        try:
+            name = sorted(servants)[0]
+            federation.node_for(name).services.faults.fail_next("bus.deliver")
+            with federation.pipeline(qos=QoS(retries=1)) as pipe:
+                future = pipe.call(name, "add", 1)
+            assert future.result(timeout_ms=5000) == 1
+            assert servants[name].value == 1
+            assert federation.node_for(name).faults_injected() == {"bus.deliver": 1}
+        finally:
+            federation.shutdown()
+
     def test_nested_async_from_servant_cannot_deadlock(self):
         # a servant blocking on a nested async future must not queue it
         # behind the single delivery thread it is running on: nested
